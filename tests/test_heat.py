@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gexpect import (
     GParams,
@@ -11,6 +13,7 @@ from gexpect import (
     SolverConfig,
     TestFunction,
     ValidationError,
+    cfl_limit,
     classical_oracle,
     semigroup_check,
     solve,
@@ -18,6 +21,7 @@ from gexpect import (
     value_at,
 )
 from gexpect.functions import add, const, cosine, ramp
+from gexpect.heat import _march
 
 DEG = GParams(0.0, 0.0, 1.0, 1.0)
 AMB = GParams(-1.0, 1.0, 1.0, 4.0)
@@ -40,6 +44,65 @@ def cfg_for(gp, half, dx=0.02, t_final=1.0):
 
 def refined(cfg):
     return SolverConfig(cfg.x_lo, cfg.x_hi, cfg.dx / 2, cfg.dt / 4, cfg.t_final, cfg.boundary)
+
+
+def four_corner_march(v, gp, dx, dt_step, n_steps):
+    """Reference: the unsplit march, maximizing over each corner of the rectangle."""
+    v = v.copy()
+    edge_values = (v[0], v[-1])
+    corners = gp.corners()
+    for m in range(n_steps):
+        d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
+        d_fwd = (v[2:] - v[1:-1]) / dx
+        d_bwd = (v[1:-1] - v[:-2]) / dx
+        best = np.full(v.size - 2, -np.inf)
+        for q, s2 in corners:
+            drift = q * (d_fwd if q >= 0 else d_bwd)
+            np.maximum(best, drift + 0.5 * s2 * d2, out=best)
+        v[1:-1] += dt_step * best
+        v[0], v[-1] = edge_values
+    return v
+
+
+_MAG = st.floats(0.05, 2.0)
+_VAR = st.floats(0.2, 4.0)
+
+
+@st.composite
+def g_params(draw):
+    """GParams with the mean interval straddling, above or below zero, at zero,
+    or a nonzero point; the variance interval is a point half the time."""
+    x, y = sorted((draw(_MAG), draw(_MAG)))
+    mu = draw(st.sampled_from([(-x, y), (x, y), (-y, -x), (0.0, 0.0), (x, x), (-x, -x)]))
+    s_lo, s_hi = sorted((draw(_VAR), draw(_VAR)))
+    return GParams(*mu, s_lo, s_lo if draw(st.booleans()) else s_hi)
+
+
+class TestSeparableMarch:
+    @settings(max_examples=60, deadline=None)
+    @given(gp=g_params(), phi=st.sampled_from([cosine(), ramp()]), n_steps=st.integers(1, 200))
+    @example(gp=GParams(-1.0, 1.0, 1.0, 4.0), phi=cosine(), n_steps=200)
+    @example(gp=GParams(0.3, 0.8, 1.0, 4.0), phi=ramp(), n_steps=200)
+    @example(gp=GParams(-0.8, -0.3, 1.0, 4.0), phi=ramp(), n_steps=200)
+    @example(gp=GParams(0.0, 0.0, 1.0, 4.0), phi=cosine(), n_steps=200)
+    @example(gp=GParams(0.5, 0.5, 1.0, 4.0), phi=ramp(), n_steps=200)
+    @example(gp=GParams(-1.0, 1.0, 2.0, 2.0), phi=cosine(), n_steps=200)
+    def test_matches_four_corner_reference(self, gp, phi, n_steps):
+        dx = 0.1
+        dt = 0.9 * cfl_limit(gp, dx)
+        cfg = SolverConfig(-3.0, 3.0, dx, dt, n_steps * dt)
+        new = solve(gp, phi, cfg).grid_values
+        ref = four_corner_march(phi(cfg.grid()), gp, dx, cfg.dt, cfg.n_steps)
+        assert np.max(np.abs(new - ref)) <= 1e-12
+
+    def test_batch_rows_equal_single_row_marches(self):
+        dx = 0.1
+        v0 = np.cos(np.linspace(-3.0, 3.0, 61))
+        edge = (v0[0], v0[-1])
+        dts = np.array([0.2, 0.5, 0.9]) * cfl_limit(AMB, dx)
+        batch = _march(np.array([v0, v0, v0]), AMB, dx, dts, 100, edge)
+        for row, dt in zip(batch, dts):
+            assert np.array_equal(row, _march(v0, AMB, dx, dt, 100, edge))
 
 
 class TestClosedForms:
@@ -159,19 +222,16 @@ class TestStructure:
         for cand in others:
             assert np.all(upper[inner] >= cand[inner] - 1e-12)
 
-    def test_linear_extrapolate_preserves_affine_advection(self):
-        gp = GParams(0.3, 0.3, 1.0, 1.0)
-        cfg = SolverConfig(-6.0, 6.0, 0.1, stable_dt(gp, 0.1, 1.0), 1.0,
-                           boundary="linear_extrapolate")
-        phi = TestFunction(lambda x: x, dim=1, lipschitz_bound=1.0, name="x")
-        vf = solve(gp, phi, cfg)
-        assert np.max(np.abs(vf.grid_values - (vf.x + 0.3))) < 1e-9
-
 
 class TestSemigroup:
     def test_b_zero_is_exact(self):
         cfg = cfg_for(DEG, 7.0, dx=0.1)
         assert semigroup_check(DEG, cosine(), 1.0, 0.0, cfg) == 0.0
+
+    def test_a_zero_is_exact(self):
+        # with a = 0 both routes are one leg of horizon b^2
+        cfg = cfg_for(AMB, 13.0, dx=0.1)
+        assert semigroup_check(AMB, cosine(), 0.0, 1.0, cfg) == 0.0
 
     def test_half_time_split_degenerate(self):
         a = b = math.sqrt(0.5)
@@ -214,6 +274,23 @@ class TestConfigAndErrors:
         bad = TestFunction(lambda x: np.where(np.abs(x) > 3, np.nan, x), dim=1)
         with pytest.raises(NumericsError):
             solve(DEG, bad, cfg_for(DEG, 6.0, dx=0.5))
+
+    def test_overflow_mid_march_aborts(self):
+        alternating = TestFunction(lambda x: 1.7e308 * (-1.0) ** np.arange(x.size), dim=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match=r"at step 1 \("):
+                solve(DEG, alternating, cfg_for(DEG, 6.0, dx=0.5))
+
+    def test_huge_constant_stays_finite(self):
+        # the profile's sum overflows, so a sum-based finiteness check would fail here
+        cfg = cfg_for(AMB, 6.0, dx=0.01, t_final=0.01)
+        assert cfg.n_intervals + 1 >= 1000
+        vf = solve(AMB, const(1e306), cfg)
+        assert np.all(vf.grid_values == 1e306)
+
+    def test_unknown_boundary_rejected(self):
+        with pytest.raises(ValidationError, match="boundary"):
+            SolverConfig(-6.0, 6.0, 0.1, 1e-3, 1.0, boundary="linear_extrapolate")
 
 
 class TestClassicalOracle:
