@@ -22,6 +22,7 @@ Wire formats:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -40,9 +41,20 @@ LOADER_WEIGHT_TOL = 1e-9
 
 
 def _require(obj: dict, key: str, where: str):
-    if key not in obj:
+    if not isinstance(obj, dict) or key not in obj:
         raise ValidationError(f"{where}: missing key {key!r}")
     return obj[key]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _pair(obj: dict, key: str, where: str) -> tuple[float, float]:
+    pair = _require(obj, key, where)
+    if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
+        raise ValidationError(f"{where}.{key} must be [lo, hi] of finite numbers, got {pair!r}")
+    return float(pair[0]), float(pair[1])
 
 
 def parse_distribution(obj: dict, where: str) -> DiscreteDistribution:
@@ -89,19 +101,12 @@ def load_steps_document(doc: dict) -> tuple[list[ScenarioSet], str]:
 
 
 def parse_gparams(obj: dict, where: str = "gp") -> GParams:
-    mu = _require(obj, "mu", where)
-    s2 = _require(obj, "sigma2", where)
-    for name, pair in (("mu", mu), ("sigma2", s2)):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValidationError(f"{where}.{name} must be [lo, hi]")
-    return GParams(float(mu[0]), float(mu[1]), float(s2[0]), float(s2[1]))
+    return GParams(*_pair(obj, "mu", where), *_pair(obj, "sigma2", where))
 
 
 def parse_solver_config(obj: dict, where: str = "pde") -> SolverConfig:
-    x_range = _require(obj, "x_range", where)
     return SolverConfig(
-        x_lo=float(x_range[0]),
-        x_hi=float(x_range[1]),
+        *_pair(obj, "x_range", where),
         dx=float(_require(obj, "dx", where)),
         dt=float(_require(obj, "dt", where)),
         t_final=float(_require(obj, "t_final", where)),
@@ -110,9 +115,11 @@ def parse_solver_config(obj: dict, where: str = "pde") -> SolverConfig:
 
 
 def parse_nested_config(obj: dict, where: str = "dp") -> NestedEvalConfig:
-    x_range = _require(obj, "x_range", where)
+    num = _require(obj, "num_points", where)
+    if isinstance(num, bool) or not isinstance(num, int):
+        raise ValidationError(f"{where}.num_points must be an integer, got {num!r}")
     return NestedEvalConfig(
-        state_grid=(float(x_range[0]), float(x_range[1]), int(_require(obj, "num_points", where))),
+        state_grid=(*_pair(obj, "x_range", where), num),
         mode=str(obj.get("mode", "grid_interp")),
         edge=str(obj.get("edge", "clamp")),
     )
@@ -168,9 +175,9 @@ def parse_preset(doc: dict) -> ExperimentPreset:
     fam = doc.get("family_params", {})
     schedule = tuple(int(v) for v in _require(doc, "n_schedule", "preset"))
     n_max = int(fam.get("n_max", max(schedule)))
-    tolerance = float(_require(doc, "tolerance", "preset"))
-    if tolerance <= 0:
-        raise ValidationError("preset.tolerance must be positive")
+    tolerance = _require(doc, "tolerance", "preset")
+    if not _is_number(tolerance) or tolerance <= 0:
+        raise ValidationError(f"preset.tolerance must be a positive finite number, got {tolerance!r}")
     phi = named_function(str(_require(doc, "phi", "preset")), dim=1, **doc.get("phi_params", {}))
     return ExperimentPreset(
         name=name,
@@ -184,7 +191,7 @@ def parse_preset(doc: dict) -> ExperimentPreset:
         n_schedule=schedule,
         dp=parse_nested_config(_require(doc, "dp", "preset")),
         pde=parse_solver_config(_require(doc, "pde", "preset")),
-        tolerance=tolerance,
+        tolerance=float(tolerance),
         output_dir=str(doc.get("output_dir", "out")),
     )
 

@@ -1,6 +1,9 @@
 """Command-line contract: output, exit codes (0 ok / 1 miss / 2 invalid)."""
 
+import copy
 import json
+
+import pytest
 
 from gexpect.cli import main
 
@@ -81,6 +84,34 @@ class TestClt:
         rc = main(["clt", "--config", write(tmp_path, "z.json", doc)])
         assert rc == 2
         assert "variance interval" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "section, key, value, field",
+        [
+            ("dp", "num_points", "many", "dp.num_points"),
+            ("dp", "num_points", 1e30, "dp.num_points"),
+            ("dp", "x_range", 5, "dp.x_range"),
+            (None, "tolerance", float("nan"), "preset.tolerance"),
+        ],
+    )
+    def test_malformed_field_is_a_validation_error(self, tmp_path, capsys, section, key, value, field):
+        doc = {
+            "name": "small",
+            "gp": {"mu": [0.0, 0.0], "sigma2": [1.0, 1.0]},
+            "family": "iid",
+            "phi": "cos",
+            "n_schedule": [4],
+            "dp": {"x_range": [-6, 6], "num_points": 101},
+            "pde": {"x_range": [-6, 6], "dx": 0.5, "dt": 0.1, "t_final": 1.0},
+            "tolerance": 0.1,
+        }
+        assert main(["clt", "--config", write(tmp_path, "ok.json", doc), "--out", str(tmp_path)]) == 0
+        bad = copy.deepcopy(doc)
+        (bad[section] if section else bad)[key] = value
+        rc = main(["clt", "--config", write(tmp_path, "bad.json", bad), "--out", str(tmp_path)])
+        assert rc == 2
+        assert field in capsys.readouterr().out
 
 
 class TestVerify:
