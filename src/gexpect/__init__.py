@@ -12,7 +12,7 @@ from .clt import (
     cross_space_check,
     run_clt,
 )
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, Report, ValidationError
 from .functions import TestFunction, named_function
 from .gfunction import GParams, beta, g_eval, verify_g_properties
 from .heat import (
@@ -43,6 +43,7 @@ __all__ = [
     "GParams",
     "NestedEvalConfig",
     "NumericsError",
+    "Report",
     "ScenarioSet",
     "SequenceModel",
     "SolverConfig",

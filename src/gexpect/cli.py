@@ -19,8 +19,11 @@ from .heat import solve
 from .io import (
     load_preset,
     load_steps_document,
+    output_stem,
     parse_gparams,
+    parse_phi,
     parse_solver_config,
+    positive_number,
     read_json,
     write_condition_report_json,
     write_convergence_csv,
@@ -46,7 +49,7 @@ def cmd_expect(config_path: str, function_name: str) -> int:
 
 def cmd_clt(preset_path: str, out_dir: str | None, tol_override: float | None) -> int:
     preset = load_preset(preset_path)
-    tolerance = preset.tolerance if tol_override is None else tol_override
+    tolerance = preset.tolerance if tol_override is None else positive_number(tol_override, "--tol")
     model = preset.build_model()
     report = run_clt(model, preset.phi, preset.n_schedule, preset.dp, preset.pde)
     conditions = check_conditions(model)
@@ -74,8 +77,8 @@ def cmd_verify(suite_name: str, seed: int) -> int:
     ok = True
     for name in names:
         result = run_suite(name, seed=seed)
-        print(result.summary())
-        for line in result.details[:5]:
+        print(f"{result.summary()}, seed={seed}")
+        for line in result.details:
             print(f"  {line}")
         ok = ok and result.passed
     return 0 if ok else 1
@@ -85,11 +88,13 @@ def cmd_solve(config_path: str, out_dir: str) -> int:
     doc = read_json(config_path)
     gp = parse_gparams(doc.get("gp", {}), "gp")
     cfg = parse_solver_config(doc.get("solver", doc.get("pde", {})), "solver")
-    phi = named_function(str(doc.get("phi", "cos")), dim=1, **doc.get("phi_params", {}))
+    doc.setdefault("phi", "cos")
+    phi = parse_phi(doc, "document")
+    label = output_stem(doc.get("label", "value_function"), "document.label")
     vf = solve(gp, phi, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{doc.get('label', 'value_function')}.csv"
+    path = out / f"{label}.csv"
     write_value_function_csv(vf, path)
     print(f"wrote {path} ({vf.grid_values.size} nodes at t={vf.t:g})")
     return 0
@@ -157,7 +162,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}")
         return 2
     except (ValidationError, NumericsError) as exc:

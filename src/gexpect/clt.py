@@ -64,24 +64,12 @@ class ConditionReport:
     x_proxies: list[float] = field(default_factory=list)
     y_proxies: list[float] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_residuals": [list(r) for r in self.mean_residuals],
-            "third_moment_bound": self.third_moment_bound,
-            "cesaro_x": self.cesaro_x,
-            "cesaro_y": self.cesaro_y,
-            "beta": self.beta,
-            "x_proxies": self.x_proxies,
-            "y_proxies": self.y_proxies,
-        }
-
 
 @dataclass
 class ConvergenceReport:
     """One row per n: nested-DP value, PDE value, and the exact gap."""
 
     rows: list[tuple[int, float, float, float]]
-    phi_label: str = ""
 
     @property
     def final_error(self) -> float:
@@ -180,29 +168,18 @@ def _coupled_proxies(step: ScenarioSet, ref: ScenarioSet) -> tuple[float, float]
     return dx, dy
 
 
-def quantized_reference(gp: GParams, quant_levels: int) -> ScenarioSet:
-    """Fallback reference step when a model carries none: the limit pair
-    quantized on even grids with ``quant_levels`` points each."""
-    if quant_levels < 2:
-        raise ValidationError("quant_levels must be >= 2")
-    sigma_grid = np.linspace(gp.sigma_lo, gp.sigma_hi, quant_levels)
-    mean_grid = np.linspace(gp.mu_lo, gp.mu_hi, quant_levels)
-    return _product_step(sigma_grid, mean_grid, label="quantized-reference")
-
-
-def check_conditions(model: SequenceModel, quant_levels: int = 2) -> ConditionReport:
+def check_conditions(model: SequenceModel) -> ConditionReport:
     """Compute the theorem's hypotheses for every step of the model.
 
     Mean residuals are the upper and lower expectations of X_i (both must
     be exactly zero for the shipped builders). The third-moment bound is
     the max over steps of the worst-case third absolute moments of X_i and
     Y_i. The coupling proxies pair each step with its comonotone reference
-    (``model.ref_steps`` when present, else the quantized limit), and the
-    report carries their running Cesaro averages. The ellipticity floor is
-    sig2_lo.
+    ``model.ref_steps`` (required), and the report carries their running
+    Cesaro averages. The ellipticity floor is sig2_lo.
     """
-    if quant_levels < 2:
-        raise ValidationError("quant_levels must be >= 2")
+    if model.ref_steps is None:
+        raise ValidationError("check_conditions needs a model with reference steps (ref_steps)")
     x_fn = coord(0)
     x_abs3 = coord_abs_power(0, 3.0)
     y_abs3 = coord_abs_power(1, 3.0)
@@ -211,11 +188,9 @@ def check_conditions(model: SequenceModel, quant_levels: int = 2) -> ConditionRe
     third = 0.0
     x_proxies: list[float] = []
     y_proxies: list[float] = []
-    fallback = None if model.ref_steps is not None else quantized_reference(model.gp, quant_levels)
-    for i, step in enumerate(model.steps):
+    for step, ref in zip(model.steps, model.ref_steps):
         residuals.append((expect(x_fn, step), lower_expect(x_fn, step)))
         third = max(third, expect(x_abs3, step), expect(y_abs3, step))
-        ref = model.ref_steps[i] if model.ref_steps is not None else fallback
         dx, dy = _coupled_proxies(step, ref)
         x_proxies.append(dx)
         y_proxies.append(dy)
@@ -268,7 +243,7 @@ def run_clt(
     for n in n_schedule:
         lhs = nested_expect(phi, model, n, cfg_dp)
         rows.append((n, lhs, pde, abs(lhs - pde)))
-    return ConvergenceReport(rows=rows, phi_label=phi.name)
+    return ConvergenceReport(rows=rows)
 
 
 def reencode_model(model: SequenceModel, seed: int = 0) -> SequenceModel:

@@ -1,15 +1,12 @@
-"""Test functions with declared bounds, plus the small calculus on them.
+"""Test functions, plus the small calculus on them.
 
 Every functional in this package is evaluated against functions of one or
-two real coordinates. A ``TestFunction`` wraps a vectorized callable
-together with declared Lipschitz and sup bounds; the bounds are *declared*
-(``math.inf`` when unknown) and spot-checked where they matter, never
-proven globally.
+two real coordinates. A ``TestFunction`` wraps a vectorized callable with
+its dimension and a display name.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,8 +25,6 @@ class TestFunction:
 
     fn: Callable[..., np.ndarray]
     dim: int = 1
-    lipschitz_bound: float = math.inf
-    sup_bound: float = math.inf
     name: str = ""
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -37,8 +32,6 @@ class TestFunction:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise ValidationError(f"test function dimension must be 1 or 2, got {self.dim}")
-        if self.lipschitz_bound < 0 or self.sup_bound < 0:
-            raise ValidationError("declared bounds must be >= 0")
 
     def __call__(self, *coords) -> np.ndarray:
         if len(coords) != self.dim:
@@ -62,15 +55,12 @@ def scale(f: TestFunction, lam: float) -> TestFunction:
     return TestFunction(
         fn=lambda *cs: lam * np.asarray(inner(*cs), dtype=float),
         dim=f.dim,
-        lipschitz_bound=abs(lam) * f.lipschitz_bound,
-        sup_bound=abs(lam) * f.sup_bound,
         name=f"{lam:g}*{f.name}" if f.name else "",
     )
 
 
 def negate(f: TestFunction) -> TestFunction:
-    g = scale(f, -1.0)
-    return TestFunction(g.fn, g.dim, f.lipschitz_bound, f.sup_bound, f"-{f.name}" if f.name else "")
+    return TestFunction(scale(f, -1.0).fn, f.dim, f"-{f.name}" if f.name else "")
 
 
 def add(f: TestFunction, g: TestFunction) -> TestFunction:
@@ -80,8 +70,6 @@ def add(f: TestFunction, g: TestFunction) -> TestFunction:
     return TestFunction(
         fn=lambda *cs: np.asarray(ff(*cs), dtype=float) + np.asarray(gf(*cs), dtype=float),
         dim=f.dim,
-        lipschitz_bound=f.lipschitz_bound + g.lipschitz_bound,
-        sup_bound=f.sup_bound + g.sup_bound,
         name=f"{f.name}+{g.name}" if f.name and g.name else "",
     )
 
@@ -91,53 +79,48 @@ def add(f: TestFunction, g: TestFunction) -> TestFunction:
 # ---------------------------------------------------------------------------
 
 def const(c: float, dim: int = 1) -> TestFunction:
-    return TestFunction(lambda *cs: np.full_like(cs[0], c), dim, 0.0, abs(c), f"const:{c:g}")
+    return TestFunction(lambda *cs: np.full_like(cs[0], c), dim, f"const:{c:g}")
 
 
 def identity() -> TestFunction:
-    return TestFunction(lambda x: x, 1, 1.0, math.inf, "x")
+    return TestFunction(lambda x: x, 1, "x")
 
 
 def square() -> TestFunction:
-    return TestFunction(lambda x: x * x, 1, math.inf, math.inf, "x^2")
+    return TestFunction(lambda x: x * x, 1, "x^2")
 
 
 def cosine() -> TestFunction:
-    return TestFunction(np.cos, 1, 1.0, 1.0, "cos")
+    return TestFunction(np.cos, 1, "cos")
 
 
 def abs_power(p: float) -> TestFunction:
-    lip = 1.0 if p == 1.0 else math.inf
-    return TestFunction(lambda x: np.abs(x) ** p, 1, lip, math.inf, f"|x|^{p:g}")
+    return TestFunction(lambda x: np.abs(x) ** p, 1, f"|x|^{p:g}")
 
 
 def ramp(clip: float | None = None) -> TestFunction:
     """max(x, 0), optionally clipped to [0, clip]."""
     if clip is None:
-        return TestFunction(lambda x: np.maximum(x, 0.0), 1, 1.0, math.inf, "relu")
+        return TestFunction(lambda x: np.maximum(x, 0.0), 1, "relu")
     if clip <= 0:
         raise ValidationError("clip level must be positive")
-    return TestFunction(
-        lambda x: np.clip(x, 0.0, clip), 1, 1.0, float(clip), f"relu_clip:{clip:g}"
-    )
+    return TestFunction(lambda x: np.clip(x, 0.0, clip), 1, f"relu_clip:{clip:g}")
 
 
 def coord(index: int, dim: int = 2) -> TestFunction:
     if not 0 <= index < dim:
         raise ValidationError("coordinate index out of range")
-    return TestFunction(lambda *cs: cs[index], dim, 1.0, math.inf, "xy"[index])
+    return TestFunction(lambda *cs: cs[index], dim, "xy"[index])
 
 
 def coord_abs_power(index: int, p: float, dim: int = 2) -> TestFunction:
     if not 0 <= index < dim:
         raise ValidationError("coordinate index out of range")
-    return TestFunction(
-        lambda *cs: np.abs(cs[index]) ** p, dim, math.inf, math.inf, f"|{'xy'[index]}|^{p:g}"
-    )
+    return TestFunction(lambda *cs: np.abs(cs[index]) ** p, dim, f"|{'xy'[index]}|^{p:g}")
 
 
 def abs_product() -> TestFunction:
-    return TestFunction(lambda x, y: np.abs(x * y), 2, math.inf, math.inf, "|xy|")
+    return TestFunction(lambda x, y: np.abs(x * y), 2, "|xy|")
 
 
 def named_function(name: str, dim: int = 1, **params) -> TestFunction:
@@ -173,18 +156,3 @@ def named_function(name: str, dim: int = 1, **params) -> TestFunction:
             f"unknown function {name!r} for dimension {dim}; known: {sorted(table)}"
         ) from None
 
-
-def spot_check_bounds(f: TestFunction, points: np.ndarray, tol: float = 1e-9) -> bool:
-    """Check the declared bounds on the given points (skipping infinite ones)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = f.on_points(points)
-    if math.isfinite(f.sup_bound) and np.any(np.abs(vals) > f.sup_bound + tol):
-        return False
-    if math.isfinite(f.lipschitz_bound):
-        n = len(points)
-        for i in range(n):
-            d = np.linalg.norm(points - points[i], axis=1)
-            mask = d > 0
-            if np.any(np.abs(vals[mask] - vals[i]) > f.lipschitz_bound * d[mask] + tol):
-                return False
-    return True

@@ -14,11 +14,11 @@ slopes sig2_lo and sig2_hi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Report, ValidationError
 
 
 @dataclass(frozen=True)
@@ -75,57 +75,39 @@ def beta(gp: GParams) -> float:
     return gp.sig2_lo
 
 
-@dataclass
-class GPropertyReport:
-    """Outcome of the randomized structural-property campaign for G."""
-
-    samples: int
-    seed: int
-    failures: int = 0
-    worst_violation: float = 0.0
-    witnesses: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-    def _record(self, amount: float, msg: str) -> None:
-        self.failures += 1
-        self.worst_violation = max(self.worst_violation, amount)
-        if len(self.witnesses) < 5:
-            self.witnesses.append(msg)
-
-
 _HOMOGENEITY_LAMBDAS = (0.0, 0.5, 1.0, 3.0)
 
 
-def verify_g_properties(gp: GParams, samples: int, tol: float, seed: int = 0) -> GPropertyReport:
+def verify_g_properties(gp: GParams, samples: int, tol: float, seed: int = 0) -> Report:
     """Randomized check of sub-additivity, positive homogeneity, monotonicity
-    in the second argument, and the continuity bound at (0, 0)."""
+    in the second argument, and the continuity bound at (0, 0). Each check
+    records its signed violation; ``worst`` is the largest, or 0."""
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    report = GPropertyReport(samples=samples, seed=seed)
+    report = Report("gfunction")
     for _ in range(samples):
         p, a, pb, ab = rng.uniform(-10.0, 10.0, size=4)
         g = g_eval(gp, p, a)
 
         viol = g_eval(gp, p + pb, a + ab) - (g + g_eval(gp, pb, ab))
-        if viol > tol:
-            report._record(viol, f"sub-additivity violated by {viol!r} at {(p, a, pb, ab)}")
+        report.record(
+            viol <= tol, viol, "sub-additivity violated by %r at %s", viol, (p, a, pb, ab)
+        )
 
         for lam in _HOMOGENEITY_LAMBDAS:
             diff = abs(g_eval(gp, lam * p, lam * a) - lam * g)
-            if diff > tol:
-                report._record(diff, f"homogeneity violated by {diff!r} at lambda={lam}, {(p, a)}")
+            report.record(
+                diff <= tol, diff, "homogeneity violated by %r at lambda=%s, %s", diff, lam, (p, a)
+            )
 
         lo_a, hi_a = min(a, ab), max(a, ab)
         viol = g_eval(gp, p, lo_a) - g_eval(gp, p, hi_a)
-        if viol > tol:
-            report._record(viol, f"monotonicity in a violated by {viol!r} at {(p, lo_a, hi_a)}")
+        report.record(
+            viol <= tol, viol, "monotonicity in a violated by %r at %s", viol, (p, lo_a, hi_a)
+        )
 
         bound = gp.mu_abs * abs(p) + 0.5 * gp.sig2_hi * abs(a)
         viol = abs(g) - bound
-        if viol > tol:
-            report._record(viol, f"continuity bound violated by {viol!r} at {(p, a)}")
+        report.record(viol <= tol, viol, "continuity bound violated by %r at %s", viol, (p, a))
     return report

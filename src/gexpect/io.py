@@ -17,6 +17,8 @@ Wire formats:
 
 * experiment preset: see ``load_preset``; the three shipped presets live in
   the ``presets/`` package data and can be addressed by bare name.
+
+A field of the wrong type or range raises ``ValidationError`` naming it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import ValidationError
 from .functions import TestFunction, named_function
 from .gfunction import GParams
 from .heat import SolverConfig, ValueFunction
-from .nested import NestedEvalConfig
+from .nested import GRID_NODE_CAP, NestedEvalConfig
 from .scenarios import DiscreteDistribution, ScenarioSet
 
 LOADER_WEIGHT_TOL = 1e-9
@@ -46,8 +48,30 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _section(doc: dict, key: str, where: str) -> dict:
+    obj = doc.get(key, {})
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}.{key} must be an object, got {obj!r}")
+    return obj
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def positive_number(value, name: str) -> float:
+    """``value`` as a float; raises ``ValidationError`` naming the field
+    unless it is a positive finite number."""
+    if not _is_number(value) or value <= 0:
+        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str, lo: int = 1, hi: float = math.inf) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ValidationError(f"{name} must be an integer {span}, got {value!r}")
+    return value
 
 
 def _pair(obj: dict, key: str, where: str) -> tuple[float, float]:
@@ -63,9 +87,11 @@ def parse_distribution(obj: dict, where: str) -> DiscreteDistribution:
         raise ValidationError(f"{where}: 'atoms' must be a nonempty list")
     atoms = []
     for k, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) not in (2, 3):
-            raise ValidationError(f"{where}: atom {k} must be [x, w] or [x, y, w]")
-        *point, w = (float(v) for v in row)
+        if not isinstance(row, list) or len(row) not in (2, 3) or not all(map(_is_number, row)):
+            raise ValidationError(
+                f"{where}: atom {k} must be [x, w] or [x, y, w] of finite numbers, got {row!r}"
+            )
+        *point, w = map(float, row)
         atoms.append((point, w))
     total = sum(w for _, w in atoms)
     if abs(total - 1.0) > LOADER_WEIGHT_TOL:
@@ -107,17 +133,15 @@ def parse_gparams(obj: dict, where: str = "gp") -> GParams:
 def parse_solver_config(obj: dict, where: str = "pde") -> SolverConfig:
     return SolverConfig(
         *_pair(obj, "x_range", where),
-        dx=float(_require(obj, "dx", where)),
-        dt=float(_require(obj, "dt", where)),
-        t_final=float(_require(obj, "t_final", where)),
+        dx=positive_number(_require(obj, "dx", where), f"{where}.dx"),
+        dt=positive_number(_require(obj, "dt", where), f"{where}.dt"),
+        t_final=positive_number(_require(obj, "t_final", where), f"{where}.t_final"),
         boundary=str(obj.get("boundary", "clamp_phi")),
     )
 
 
 def parse_nested_config(obj: dict, where: str = "dp") -> NestedEvalConfig:
-    num = _require(obj, "num_points", where)
-    if isinstance(num, bool) or not isinstance(num, int):
-        raise ValidationError(f"{where}.num_points must be an integer, got {num!r}")
+    num = _integer(_require(obj, "num_points", where), f"{where}.num_points", 2, GRID_NODE_CAP)
     return NestedEvalConfig(
         state_grid=(*_pair(obj, "x_range", where), num),
         mode=str(obj.get("mode", "grid_interp")),
@@ -132,10 +156,10 @@ def eps_from_rule(rule: dict, count: int) -> np.ndarray:
     idx = np.arange(count, dtype=float)
     if kind == "zero":
         return np.zeros(count)
-    offset = float(rule.get("offset", 4.0))
-    scale = float(rule.get("scale", 1.0))
-    if offset <= 0:
-        raise ValidationError("eps_rule.offset must be positive")
+    offset = positive_number(rule.get("offset", 4.0), "eps_rule.offset")
+    scale = rule.get("scale", 1.0)
+    if not _is_number(scale):
+        raise ValidationError(f"eps_rule.scale must be a finite number, got {scale!r}")
     if kind == "harmonic":
         return scale / (idx + offset)
     if kind == "alternating-harmonic":
@@ -167,38 +191,54 @@ class ExperimentPreset:
         return build_perturbed_family(base, eps)
 
 
+def parse_phi(doc: dict, where: str) -> TestFunction:
+    """The 1-d function named by ``phi``, built with the numbers in ``phi_params``."""
+    params = _section(doc, "phi_params", where)
+    if not all(map(_is_number, params.values())):
+        raise ValidationError(f"{where}.phi_params values must be finite numbers, got {params!r}")
+    return named_function(str(_require(doc, "phi", where)), dim=1, **params)
+
+
+def output_stem(value, name: str) -> str:
+    """``value`` if it can name an output file inside the output directory."""
+    if not isinstance(value, str) or "\0" in value or Path(value).name != value:
+        raise ValidationError(f"{name} must be a file name without directories, got {value!r}")
+    return value
+
+
 def parse_preset(doc: dict) -> ExperimentPreset:
-    name = str(_require(doc, "name", "preset"))
+    name = output_stem(_require(doc, "name", "preset"), "preset.name")
     family = str(_require(doc, "family", "preset"))
     if family not in ("iid", "perturbed"):
         raise ValidationError(f"preset.family must be 'iid' or 'perturbed', got {family!r}")
-    fam = doc.get("family_params", {})
-    schedule = tuple(int(v) for v in _require(doc, "n_schedule", "preset"))
-    n_max = int(fam.get("n_max", max(schedule)))
-    tolerance = _require(doc, "tolerance", "preset")
-    if not _is_number(tolerance) or tolerance <= 0:
-        raise ValidationError(f"preset.tolerance must be a positive finite number, got {tolerance!r}")
-    phi = named_function(str(_require(doc, "phi", "preset")), dim=1, **doc.get("phi_params", {}))
+    fam = _section(doc, "family_params", "preset")
+    raw = _require(doc, "n_schedule", "preset")
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError(f"preset.n_schedule must be a nonempty list of integers, got {raw!r}")
+    schedule = tuple(_integer(v, f"preset.n_schedule[{i}]") for i, v in enumerate(raw))
     return ExperimentPreset(
         name=name,
         gp=parse_gparams(_require(doc, "gp", "preset")),
         family=family,
-        sigma_levels=int(fam.get("sigma_levels", 2)),
-        mean_levels=int(fam.get("mean_levels", 2)),
-        n_max=n_max,
+        sigma_levels=_integer(fam.get("sigma_levels", 2), "family_params.sigma_levels"),
+        mean_levels=_integer(fam.get("mean_levels", 2), "family_params.mean_levels"),
+        n_max=_integer(fam.get("n_max", max(schedule)), "family_params.n_max"),
         eps_rule=doc.get("eps_rule"),
-        phi=phi,
+        phi=parse_phi(doc, "preset"),
         n_schedule=schedule,
         dp=parse_nested_config(_require(doc, "dp", "preset")),
         pde=parse_solver_config(_require(doc, "pde", "preset")),
-        tolerance=float(tolerance),
+        tolerance=positive_number(_require(doc, "tolerance", "preset"), "preset.tolerance"),
         output_dir=str(doc.get("output_dir", "out")),
     )
 
 
 def read_json(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: the document must be a JSON object")
+    return doc
 
 
 def packaged_preset_names() -> list[str]:
@@ -240,5 +280,5 @@ def write_value_function_csv(vf: ValueFunction, path: str | Path) -> None:
 
 def write_condition_report_json(report, path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(vars(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -14,11 +14,9 @@ two-dimensional sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Report, ValidationError
 from .functions import TestFunction, abs_product, add, coord_abs_power, negate, scale
 
 WEIGHT_SUM_TOL = 1e-12
@@ -30,7 +28,7 @@ class DiscreteDistribution:
     ``atoms`` is a sequence of ``(point, weight)`` pairs; 1-d points may be
     plain floats. Atoms are canonically sorted by point; exact duplicate
     points are merged (weights summed), so points end up pairwise distinct.
-    Weights must be >= 0 and sum to 1 within 1e-12.
+    Points must be finite; weights must be >= 0 and sum to 1 within 1e-12.
     """
 
     __slots__ = ("points", "weights")
@@ -50,12 +48,14 @@ class DiscreteDistribution:
             if p.size != dim:
                 raise ValidationError(f"atom {i}: dimension {p.size} != {dim}")
         weights = np.asarray(wts, dtype=float)
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        if not np.isfinite(weights).all() or (weights < 0).any():
             raise ValidationError("weights must be finite and >= 0")
         total = float(weights.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
         points = np.vstack(pts)
+        if not np.isfinite(points).all():
+            raise ValidationError("atom points must be finite")
         # canonical order, then merge exact duplicates
         order = np.lexsort(points.T[::-1])
         points, weights = points[order], weights[order]
@@ -143,42 +143,16 @@ def lower_expect(phi: TestFunction, s: ScenarioSet) -> float:
     return -expect(negate(phi), s)
 
 
-@dataclass
-class CheckOutcome:
-    passed: bool
-    n_checked: int
-    witnesses: list[str] = field(default_factory=list)
-
-
-@dataclass
-class AxiomReport:
-    """Per-axiom outcome of a sublinear-expectation check."""
-
-    monotonicity: CheckOutcome
-    constant_preserving: CheckOutcome
-    subadditivity: CheckOutcome
-    positive_homogeneity: CheckOutcome
-    tol: float = 0.0
-
-    @property
-    def all_passed(self) -> bool:
-        return all(
-            c.passed
-            for c in (
-                self.monotonicity,
-                self.constant_preserving,
-                self.subadditivity,
-                self.positive_homogeneity,
-            )
-        )
-
-
+_AXIOMS = ("monotonicity", "constant_preserving", "subadditivity", "positive_homogeneity")
 _HOMOGENEITY_LAMBDAS = (0.0, 0.5, 1.0, 2.0)
-_MAX_WITNESSES = 5
 
 
-def verify_axioms(s: ScenarioSet, fns, tol: float) -> AxiomReport:
+def verify_axioms(s: ScenarioSet, fns, tol: float) -> dict[str, Report]:
     """Check the four sublinear-expectation axioms on the supplied functions.
+
+    Returns one report per axiom, keyed by its name: "monotonicity",
+    "constant_preserving", "subadditivity", "positive_homogeneity". Each
+    check records its signed violation; ``worst`` is the largest, or 0.
 
     Monotonicity is checked on ordered pairs (f, g) with f >= g pointwise on
     the union of the set's atoms (the only points the envelope can see).
@@ -192,59 +166,39 @@ def verify_axioms(s: ScenarioSet, fns, tol: float) -> AxiomReport:
     union = s.atom_union()
     vals = [f.on_points(union) for f in fns]
     ups = [expect(f, s) for f in fns]
+    names = [f.name or str(i) for i, f in enumerate(fns)]
+    mono, cpres, sub, homog = reports = [Report(name) for name in _AXIOMS]
 
-    mono = CheckOutcome(True, 0)
+    for i in range(len(fns)):
+        for j in range(len(fns)):
+            if i != j and np.min(vals[i] - vals[j]) >= 0:
+                mono.record(
+                    ups[i] >= ups[j] - tol, ups[j] - ups[i],
+                    "%s >= %s pointwise but E[%s]=%r < E[%s]=%r",
+                    names[i], names[j], names[i], ups[i], names[j], ups[j],
+                )
+
+    for i in range(len(fns)):
+        if np.ptp(vals[i]) == 0.0:
+            c = float(vals[i][0])
+            gap = abs(ups[i] - c)
+            cpres.record(gap <= tol, gap, "E[const %r] = %r", c, ups[i])
+
     for i, f in enumerate(fns):
-        for j, g in enumerate(fns):
-            if i == j or np.min(vals[i] - vals[j]) < 0:
-                continue
-            mono.n_checked += 1
-            if ups[i] < ups[j] - tol:
-                mono.passed = False
-                if len(mono.witnesses) < _MAX_WITNESSES:
-                    mono.witnesses.append(
-                        f"{f.name or i} >= {g.name or j} pointwise but "
-                        f"E[{f.name or i}]={ups[i]!r} < E[{g.name or j}]={ups[j]!r}"
-                    )
+        for j in range(i, len(fns)):
+            lhs = expect(add(f, fns[j]), s)
+            rhs = ups[i] + ups[j]
+            sub.record(
+                lhs <= rhs + tol, lhs - rhs, "E[%s+%s]=%r > %r", names[i], names[j], lhs, rhs
+            )
 
-    cpres = CheckOutcome(True, 0)
-    for i, f in enumerate(fns):
-        if np.ptp(vals[i]) != 0.0:
-            continue
-        cpres.n_checked += 1
-        c = float(vals[i][0])
-        if abs(ups[i] - c) > tol:
-            cpres.passed = False
-            if len(cpres.witnesses) < _MAX_WITNESSES:
-                cpres.witnesses.append(f"E[const {c!r}] = {ups[i]!r}")
-
-    sub = CheckOutcome(True, 0)
-    for i, f in enumerate(fns):
-        for j, g in enumerate(fns):
-            if j < i:
-                continue
-            sub.n_checked += 1
-            lhs = expect(add(f, g), s)
-            if lhs > ups[i] + ups[j] + tol:
-                sub.passed = False
-                if len(sub.witnesses) < _MAX_WITNESSES:
-                    sub.witnesses.append(
-                        f"E[{f.name or i}+{g.name or j}]={lhs!r} > {ups[i] + ups[j]!r}"
-                    )
-
-    homog = CheckOutcome(True, 0)
     for i, f in enumerate(fns):
         for lam in _HOMOGENEITY_LAMBDAS:
-            homog.n_checked += 1
             lhs = expect(scale(f, lam), s)
-            if abs(lhs - lam * ups[i]) > tol:
-                homog.passed = False
-                if len(homog.witnesses) < _MAX_WITNESSES:
-                    homog.witnesses.append(
-                        f"E[{lam:g}*{f.name or i}]={lhs!r} != {lam * ups[i]!r}"
-                    )
+            gap = abs(lhs - lam * ups[i])
+            homog.record(gap <= tol, gap, "E[%g*%s]=%r != %r", lam, names[i], lhs, lam * ups[i])
 
-    return AxiomReport(mono, cpres, sub, homog, tol)
+    return {r.name: r for r in reports}
 
 
 def identically_distributed(s1: ScenarioSet, s2: ScenarioSet, fns, tol: float) -> bool:

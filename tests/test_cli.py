@@ -2,12 +2,23 @@
 
 import copy
 import json
+import tempfile
+from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gexpect.cli import main
 
 RADEMACHER = {"steps": [{"dists": [{"atoms": [[1, 0.5], [-1, 0.5]]}]}], "label": "r"}
+SOLVE = {
+    "label": "cos-profile",
+    "gp": {"mu": [0.0, 0.0], "sigma2": [1.0, 1.0]},
+    "phi": "cos",
+    "solver": {"x_range": [-6.0, 6.0], "dx": 0.1, "dt": 0.005, "t_final": 1.0},
+}
 
 
 def write(tmp_path, name, doc):
@@ -49,6 +60,13 @@ class TestExpect:
         rc = main(["expect", "sinh", "--config", write(tmp_path, "r.json", RADEMACHER)])
         assert rc == 2
 
+    @pytest.mark.parametrize("row", [[1, "abc"], [None, 0.5], [float("nan"), 1.0]])
+    def test_malformed_atom_row(self, tmp_path, capsys, row):
+        doc = {"steps": [{"dists": [{"atoms": [[1, 0.5], row]}]}]}
+        rc = main(["expect", "x", "--config", write(tmp_path, "a.json", doc)])
+        assert rc == 2
+        assert "atom 1 must be" in capsys.readouterr().out
+
 
 class TestClt:
     def test_classical_preset_converges(self, tmp_path, capsys):
@@ -69,6 +87,12 @@ class TestClt:
         rc = main(["clt", "--config", "classical-cos", "--out", str(tmp_path), "--tol", "1e-9"])
         assert rc == 1
         assert "criterion missed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_override(self, tmp_path, capsys, tol):
+        rc = main(["clt", "--config", "classical-cos", "--out", str(tmp_path), "--tol", tol])
+        assert rc == 2
+        assert "--tol must be a positive finite number" in capsys.readouterr().out
 
     def test_zero_variance_floor_rejected(self, tmp_path, capsys):
         doc = {
@@ -93,13 +117,30 @@ class TestClt:
             ("dp", "num_points", 1e30, "dp.num_points"),
             ("dp", "x_range", 5, "dp.x_range"),
             (None, "tolerance", float("nan"), "preset.tolerance"),
+            ("dp", "num_points", 10**7, "dp.num_points"),
+            (None, "n_schedule", "abc", "preset.n_schedule"),
+            (None, "n_schedule", [], "preset.n_schedule"),
+            (None, "n_schedule", 5, "preset.n_schedule"),
+            (None, "n_schedule", [2.5, 4], "preset.n_schedule[0]"),
+            ("family_params", "n_max", "abc", "family_params.n_max"),
+            ("family_params", "sigma_levels", "abc", "family_params.sigma_levels"),
+            ("family_params", "mean_levels", "abc", "family_params.mean_levels"),
+            ("pde", "dx", "a", "pde.dx"),
+            ("pde", "dt", "a", "pde.dt"),
+            ("pde", "t_final", "a", "pde.t_final"),
+            ("eps_rule", "scale", "a", "eps_rule.scale"),
+            ("eps_rule", "offset", "a", "eps_rule.offset"),
+            (None, "phi_params", 5, "preset.phi_params"),
+            (None, "name", "../escaped", "preset.name"),
         ],
     )
     def test_malformed_field_is_a_validation_error(self, tmp_path, capsys, section, key, value, field):
         doc = {
             "name": "small",
             "gp": {"mu": [0.0, 0.0], "sigma2": [1.0, 1.0]},
-            "family": "iid",
+            "family": "perturbed",
+            "family_params": {"n_max": 4, "sigma_levels": 1, "mean_levels": 1},
+            "eps_rule": {"kind": "harmonic", "scale": 0.1},
             "phi": "cos",
             "n_schedule": [4],
             "dp": {"x_range": [-6, 6], "num_points": 101},
@@ -128,17 +169,28 @@ class TestVerify:
 
 class TestSolveAndConditions:
     def test_solve_writes_profile(self, tmp_path, capsys):
-        doc = {
-            "label": "cos-profile",
-            "gp": {"mu": [0.0, 0.0], "sigma2": [1.0, 1.0]},
-            "phi": "cos",
-            "solver": {"x_range": [-6.0, 6.0], "dx": 0.1, "dt": 0.005, "t_final": 1.0},
-        }
-        rc = main(["solve", "--config", write(tmp_path, "s.json", doc), "--out", str(tmp_path)])
+        rc = main(["solve", "--config", write(tmp_path, "s.json", SOLVE), "--out", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "cos-profile.csv").read_text().splitlines()
         assert lines[0] == "x,v"
         assert len(lines) == 122
+
+    @pytest.mark.parametrize(
+        "section, key, value, field",
+        [
+            ("solver", "dx", "a", "solver.dx"),
+            ("solver", "dt", "a", "solver.dt"),
+            ("solver", "t_final", "a", "solver.t_final"),
+            (None, "phi_params", 5, "document.phi_params"),
+            (None, "label", "../escaped", "document.label"),
+        ],
+    )
+    def test_malformed_solve_field(self, tmp_path, capsys, section, key, value, field):
+        bad = copy.deepcopy(SOLVE)
+        (bad[section] if section else bad)[key] = value
+        rc = main(["solve", "--config", write(tmp_path, "s.json", bad), "--out", str(tmp_path)])
+        assert rc == 2
+        assert field in capsys.readouterr().out
 
     def test_check_conditions(self, tmp_path, capsys):
         rc = main(["check-conditions", "--config", "g-perturbed", "--out", str(tmp_path)])
@@ -148,3 +200,29 @@ class TestSolveAndConditions:
 
     def test_missing_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.json", "--out", "/tmp"]) == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+PRESET = json.loads(
+    resources.files("gexpect").joinpath("presets", "classical-cos.json").read_text(encoding="utf-8")
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    key=st.sampled_from(sorted(PRESET) + ["eps_rule", "output_dir", "phi_params"]),
+    value=JSON_VALUES,
+)
+def test_any_preset_field_keeps_the_exit_code_contract(key, value):
+    """One top-level field of a shipped preset replaced by an arbitrary JSON
+    value: the run ends in a documented exit code, never an exception."""
+    doc = {**PRESET, key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "preset.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["clt", "--config", str(path), "--out", tmp]) in (0, 1, 2)

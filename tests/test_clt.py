@@ -21,7 +21,7 @@ from gexpect import (
     run_clt,
     stable_dt,
 )
-from gexpect.clt import SequenceModel, quantized_reference, reencode_model
+from gexpect.clt import SequenceModel, reencode_model
 from gexpect.functions import const, coord, coord_abs_power, cosine, ramp
 from gexpect.nested import NestedEvalConfig
 from gexpect.scenarios import ScenarioSet
@@ -118,21 +118,18 @@ class TestConditions:
         assert report.cesaro_x[-1] <= report.cesaro_x[0] / 10.0
         assert report.third_moment_bound == pytest.approx(8.0 * 1.25**3, rel=1e-12)
 
-    def test_quantized_reference_fallback(self):
+    def test_reference_steps_required(self):
         base = build_iid_family(GP_AMB, 2, 2, 4)
         bare = SequenceModel(steps=base.steps, gp=GP_AMB)  # no ref carried
-        report = check_conditions(bare, quant_levels=2)
-        assert max(report.x_proxies) == 0.0
+        with pytest.raises(ValidationError, match="ref_steps"):
+            check_conditions(bare)
 
     def test_structure_mismatch_rejected(self):
         base = build_iid_family(GP_AMB, 2, 3, 4)
-        bare = SequenceModel(steps=base.steps, gp=GP_AMB)
+        ref = build_iid_family(GP_AMB, 2, 2, 4)
+        mismatched = SequenceModel(steps=base.steps, gp=GP_AMB, ref_steps=ref.steps)
         with pytest.raises(ValidationError, match="scenario counts"):
-            check_conditions(bare, quant_levels=2)  # 6 scenarios vs 4
-
-    def test_quant_levels_validation(self):
-        with pytest.raises(ValidationError):
-            quantized_reference(GP_AMB, 1)
+            check_conditions(mismatched)  # 6 scenarios vs 4
 
 
 class TestRunCLT:

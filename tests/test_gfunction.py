@@ -69,7 +69,16 @@ class TestBeta:
 class TestProperties:
     def test_campaign_tight_tolerance(self):
         report = verify_g_properties(GP, samples=1000, tol=1e-12, seed=2)
-        assert report.passed, report.witnesses
+        assert report.passed, report.details
+        assert report.checks == 7000
+
+    def test_failed_checks_keep_five_witnesses(self):
+        """A negative tolerance fails every check, so every witness is formatted."""
+        report = verify_g_properties(GP, samples=2, tol=-100.0, seed=2)
+        assert report.failures == report.checks == 14
+        assert len(report.details) == 5
+        assert report.details[0].startswith("sub-additivity violated by ")
+        assert report.details[1].startswith("homogeneity violated by ")
 
     def test_degenerate_is_linear(self):
         gp = GParams(0.5, 0.5, 2.0, 2.0)

@@ -120,7 +120,7 @@ def test_grid_interp_halving_changes_value_by_at_most_lip_times_spacing():
     fine = nested_expect(
         phi, steps, 4, NestedEvalConfig((lo, hi, 2 * n_pts - 1), "grid_interp", "clamp")
     )
-    assert abs(coarse - fine) <= phi.lipschitz_bound * spacing
+    assert abs(coarse - fine) <= 1.0 * spacing  # ramp is 1-Lipschitz
 
 
 def interp_grid_value(phi, steps, n, cfg, delta=None):

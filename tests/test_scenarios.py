@@ -25,9 +25,7 @@ from gexpect.functions import (
     cosine,
     identity,
     negate,
-    ramp,
     scale,
-    spot_check_bounds,
     square,
 )
 
@@ -103,14 +101,27 @@ class TestLowerExpect:
 
 class TestAxioms:
     def test_linear_square_const_pass(self):
-        report = verify_axioms(TWO_SIGMA, [identity(), square(), const(3.0)], AXIOM_TOL)
-        assert report.all_passed
+        reports = verify_axioms(TWO_SIGMA, [identity(), square(), const(3.0)], AXIOM_TOL)
+        assert list(reports) == [
+            "monotonicity", "constant_preserving", "subadditivity", "positive_homogeneity"
+        ]
+        assert all(r.passed for r in reports.values())
 
     def test_constant_function_preserved_exactly(self):
-        report = verify_axioms(TWO_SIGMA, [const(2.5)], AXIOM_TOL)
-        assert report.constant_preserving.passed
-        assert report.constant_preserving.n_checked == 1
+        reports = verify_axioms(TWO_SIGMA, [const(2.5)], AXIOM_TOL)
+        assert reports["constant_preserving"].passed
+        assert reports["constant_preserving"].checks == 1
         assert expect(const(2.5), TWO_SIGMA) == 2.5
+
+    def test_failed_checks_keep_five_witnesses(self):
+        """A negative tolerance fails every check, so every witness is formatted."""
+        fns = [square(), add(square(), const(1.0)), const(1.0)]
+        reports = verify_axioms(TWO_SIGMA, fns, -10.0)
+        for name, r in reports.items():
+            assert r.checks >= 1 and r.failures == r.checks, name
+            assert len(r.details) == min(r.checks, 5)
+        assert reports["subadditivity"].details[0].startswith("E[x^2+x^2]=")
+        assert reports["positive_homogeneity"].worst == 0.0
 
     def test_randomized_campaign(self):
         rng = np.random.default_rng(17)
@@ -119,12 +130,12 @@ class TestAxioms:
             a, b = rng.uniform(-1, 1, size=2)
             f1 = TestFunction(lambda x, a=a, b=b: a * x + b * x * x, dim=1, name="f1")
             f2 = TestFunction(lambda x, a=a, b=b: a * x + b * x * x + 1.0 + x * x, dim=1, name="f2")
-            report = verify_axioms(s, [f1, f2, const(float(rng.uniform(-2, 2)))], AXIOM_TOL)
-            assert report.all_passed, report
+            reports = verify_axioms(s, [f1, f2, const(float(rng.uniform(-2, 2)))], AXIOM_TOL)
+            assert all(r.passed for r in reports.values()), reports
 
     def test_monotone_pairs_are_found(self):
-        report = verify_axioms(TWO_SIGMA, [square(), add(square(), const(1.0))], AXIOM_TOL)
-        assert report.monotonicity.n_checked >= 1
+        reports = verify_axioms(TWO_SIGMA, [square(), add(square(), const(1.0))], AXIOM_TOL)
+        assert reports["monotonicity"].checks >= 1
 
     def test_needs_a_function(self):
         with pytest.raises(ValidationError):
@@ -198,6 +209,11 @@ class TestDiscreteDistribution:
         assert d.points[:, 0].tolist() == [-1.0, 2.0]
         assert d.weights.tolist() == [0.5, 0.5]
 
+    def test_points_must_be_finite(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                DiscreteDistribution([(bad, 0.5), (1.0, 0.5)])
+
     def test_scenario_set_nonempty(self):
         with pytest.raises(ValidationError):
             ScenarioSet([])
@@ -213,14 +229,6 @@ def test_single_distribution_reduces_to_classical():
     classical = float(np.dot(d.weights, np.cos(d.points[:, 0])))
     assert expect(f, s) == pytest.approx(classical, abs=1e-15)
     assert lower_expect(f, s) == pytest.approx(classical, abs=1e-15)
-
-
-def test_spot_check_bounds():
-    pts = np.linspace(-3, 3, 21).reshape(-1, 1)
-    assert spot_check_bounds(cosine(), pts)
-    assert spot_check_bounds(ramp(clip=2.0), pts)
-    lying = TestFunction(lambda x: 10.0 * x, dim=1, lipschitz_bound=1.0, sup_bound=1.0)
-    assert not spot_check_bounds(lying, pts)
 
 
 @st.composite
