@@ -17,6 +17,7 @@ from .errors import NumericsError, ValidationError
 from .functions import named_function
 from .heat import solve
 from .io import (
+    known_keys,
     load_preset,
     load_steps_document,
     output_stem,
@@ -86,8 +87,9 @@ def cmd_verify(suite_name: str, seed: int) -> int:
 
 def cmd_solve(config_path: str, out_dir: str) -> int:
     doc = read_json(config_path)
-    gp = parse_gparams(doc.get("gp", {}), "gp")
-    cfg = parse_solver_config(doc.get("solver", doc.get("pde", {})), "solver")
+    known_keys(doc, ("label", "gp", "phi", "phi_params", "pde"), "document")
+    gp = parse_gparams(doc.get("gp", {}))
+    cfg = parse_solver_config(doc.get("pde", {}), gp, None)
     doc.setdefault("phi", "cos")
     phi = parse_phi(doc, "document")
     label = output_stem(doc.get("label", "value_function"), "document.label")
@@ -135,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("solve", help="solve the PDE and dump the profile as CSV")
-    p.add_argument("--config", required=True, help="document with gp, phi, solver")
+    p.add_argument("--config", required=True, help="document with gp, phi, pde")
     p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("check-conditions", help="hypothesis report for a preset's model")

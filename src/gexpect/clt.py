@@ -207,11 +207,6 @@ def check_conditions(model: SequenceModel) -> ConditionReport:
     )
 
 
-def required_half_width(gp: GParams, t_final: float) -> float:
-    """Domain half-width keeping boundary influence at 0 below tolerance."""
-    return 6.0 * gp.sigma_hi * float(np.sqrt(t_final)) + gp.mu_abs * t_final
-
-
 def run_clt(
     model: SequenceModel,
     phi: TestFunction,
@@ -222,8 +217,8 @@ def run_clt(
     """Measure the convergence of the nested value to the PDE value.
 
     One row per n in the (increasing) schedule; the PDE reference is
-    computed once at (t_final, 0). The PDE domain must cover the
-    6-sigma envelope of the limit pair.
+    computed once at (1, 0), so ``cfg_pde.t_final`` must be 1. The PDE
+    domain must cover the 6-sigma envelope of the limit pair.
     """
     n_schedule = [int(n) for n in n_schedule]
     if not n_schedule or any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
@@ -232,7 +227,12 @@ def run_clt(
         raise ValidationError(
             f"schedule reaches n={n_schedule[-1]} but the model has {len(model)} steps"
         )
-    half = required_half_width(model.gp, cfg_pde.t_final)
+    if cfg_pde.t_final != 1.0:
+        raise ValidationError(
+            f"the limit is the PDE value at t = 1, but cfg_pde.t_final = {cfg_pde.t_final!r}"
+        )
+    # domain half-width keeping the boundary influence at (1, 0) below tolerance
+    half = 6.0 * model.gp.sigma_hi + model.gp.mu_abs
     if cfg_pde.x_hi < half - 1e-12 or cfg_pde.x_lo > -half + 1e-12:
         raise ValidationError(
             f"PDE domain [{cfg_pde.x_lo}, {cfg_pde.x_hi}] does not cover the "

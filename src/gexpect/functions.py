@@ -7,6 +7,7 @@ its dimension and a display name.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -123,18 +124,22 @@ def abs_product() -> TestFunction:
     return TestFunction(lambda x, y: np.abs(x * y), 2, "|xy|")
 
 
-def named_function(name: str, dim: int = 1, **params) -> TestFunction:
-    """Resolve a function by its wire name (used by configs and the CLI)."""
+def named_function(name: str, dim: int = 1, params: dict[str, float] | None = None) -> TestFunction:
+    """Resolve a function by its wire name (used by configs and the CLI).
+
+    ``params`` holds the function's named parameters (a document's
+    ``phi_params``): ``clip`` for ``relu_clip``, ``value`` for ``const``.
+    """
     if dim == 1:
-        table: dict[str, Callable[[], TestFunction]] = {
+        table: dict[str, Callable[..., TestFunction]] = {
             "x": identity,
             "x2": square,
             "abs": lambda: abs_power(1.0),
             "abs3": lambda: abs_power(3.0),
             "cos": cosine,
-            "relu": ramp,
-            "relu_clip": lambda: ramp(clip=float(params.get("clip", 6.0))),
-            "const": lambda: const(float(params.get("value", 1.0))),
+            "relu": lambda: ramp(),  # not ``ramp``: its ``clip`` belongs to relu_clip
+            "relu_clip": lambda clip=6.0: ramp(clip=float(clip)),
+            "const": lambda value=1.0: const(float(value)),
         }
     elif dim == 2:
         table = {
@@ -145,14 +150,21 @@ def named_function(name: str, dim: int = 1, **params) -> TestFunction:
             "abs3_x": lambda: coord_abs_power(0, 3.0),
             "abs3_y": lambda: coord_abs_power(1, 3.0),
             "absxy": abs_product,
-            "const": lambda: const(float(params.get("value", 1.0)), dim=2),
+            "const": lambda value=1.0: const(float(value), dim=2),
         }
     else:
         raise ValidationError(f"unsupported dimension {dim}")
     try:
-        return table[name]()
+        factory = table[name]
     except KeyError:
         raise ValidationError(
             f"unknown function {name!r} for dimension {dim}; known: {sorted(table)}"
         ) from None
-
+    params = params or {}
+    known = inspect.signature(factory).parameters
+    for key in params:
+        if key not in known:
+            raise ValidationError(
+                f"phi_params.{key} is not a parameter of {name!r}; it takes {sorted(known)}"
+            )
+    return factory(**params)

@@ -53,16 +53,6 @@ class GParams:
     def sigma_hi(self) -> float:
         return float(np.sqrt(self.sig2_hi))
 
-    def corners(self) -> tuple[tuple[float, float], ...]:
-        """Distinct (drift, variance) corners of the uncertainty rectangle."""
-        cs = {
-            (self.mu_lo, self.sig2_lo),
-            (self.mu_lo, self.sig2_hi),
-            (self.mu_hi, self.sig2_lo),
-            (self.mu_hi, self.sig2_hi),
-        }
-        return tuple(sorted(cs))
-
 
 def g_eval(gp: GParams, p: float, a: float) -> float:
     """G(p, a): worst-case drift plus half the worst-case diffusion."""

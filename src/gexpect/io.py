@@ -12,13 +12,19 @@ Wire formats:
 
 * uncertainty bounds: ``{ "mu": [lo, hi], "sigma2": [lo, hi] }``
 
-* solver config: ``{ "x_range": [lo, hi], "dx": ..., "dt": ...,
-  "t_final": ..., "boundary": "clamp_phi" }``
+* PDE section: ``{ "x_range": [lo, hi], "dx": ... }``. The time step is
+  derived, ``dt = stable_dt(gp, dx, t_final)``, and a preset's horizon is
+  t = 1, the time of the limit value. The ``gexpect solve`` document's
+  ``pde`` section also sets ``"t_final"``.
 
-* experiment preset: see ``load_preset``; the three shipped presets live in
-  the ``presets/`` package data and can be addressed by bare name.
+* experiment preset: see ``parse_preset``; the three shipped presets live
+  in the ``presets/`` package data and can be addressed by bare name.
 
-A field of the wrong type or range raises ``ValidationError`` naming it.
+Every section refuses a key it does not read, and a field of the wrong
+type or range raises ``ValidationError`` naming it as ``<section>.<key>``.
+Two caps refuse, before anything is allocated, a PDE march of more than
+``MARCH_UPDATE_CAP`` node updates or ``GRID_NODE_CAP`` nodes, and a model
+of more than ``MODEL_LAW_CAP`` laws.
 """
 
 from __future__ import annotations
@@ -35,11 +41,17 @@ from .clt import SequenceModel, build_iid_family, build_perturbed_family
 from .errors import ValidationError
 from .functions import TestFunction, named_function
 from .gfunction import GParams
-from .heat import SolverConfig, ValueFunction
+from .heat import CFL_SAFETY, SolverConfig, ValueFunction, cfl_limit, stable_dt
 from .nested import GRID_NODE_CAP, NestedEvalConfig
 from .scenarios import DiscreteDistribution, ScenarioSet
 
 LOADER_WEIGHT_TOL = 1e-9
+MARCH_UPDATE_CAP = 10**9  # time steps x nodes of one PDE march
+MODEL_LAW_CAP = 100_000  # n_max x sigma_levels x mean_levels
+PRESET_KEYS = (
+    "name", "gp", "family", "family_params", "phi", "phi_params", "n_schedule",
+    "dp", "pde", "tolerance", "output_dir",
+)
 
 
 def _require(obj: dict, key: str, where: str):
@@ -48,11 +60,13 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _section(doc: dict, key: str, where: str) -> dict:
-    obj = doc.get(key, {})
+def known_keys(obj, keys, where: str) -> None:
+    """Refuse ``obj`` unless it is an object whose every key is one of ``keys``."""
     if not isinstance(obj, dict):
-        raise ValidationError(f"{where}.{key} must be an object, got {obj!r}")
-    return obj
+        raise ValidationError(f"{where} must be an object, got {obj!r}")
+    for key in obj:
+        if key not in keys:
+            raise ValidationError(f"unknown key {where}.{key}; {where} reads {', '.join(keys)}")
 
 
 def _is_number(value) -> bool:
@@ -127,20 +141,34 @@ def load_steps_document(doc: dict) -> tuple[list[ScenarioSet], str]:
 
 
 def parse_gparams(obj: dict, where: str = "gp") -> GParams:
+    known_keys(obj, ("mu", "sigma2"), where)
     return GParams(*_pair(obj, "mu", where), *_pair(obj, "sigma2", where))
 
 
-def parse_solver_config(obj: dict, where: str = "pde") -> SolverConfig:
-    return SolverConfig(
-        *_pair(obj, "x_range", where),
-        dx=positive_number(_require(obj, "dx", where), f"{where}.dx"),
-        dt=positive_number(_require(obj, "dt", where), f"{where}.dt"),
-        t_final=positive_number(_require(obj, "t_final", where), f"{where}.t_final"),
-        boundary=str(obj.get("boundary", "clamp_phi")),
-    )
+def parse_solver_config(obj: dict, gp: GParams, t_final: float | None) -> SolverConfig:
+    """The ``pde`` section, marched to ``t_final``; ``None`` lets the section
+    set ``t_final`` (the solve document). ``dt`` is derived by ``stable_dt``."""
+    known_keys(obj, ("x_range", "dx") + (("t_final",) if t_final is None else ()), "pde")
+    lo, hi = _pair(obj, "x_range", "pde")
+    dx = positive_number(_require(obj, "dx", "pde"), "pde.dx")
+    if t_final is None:
+        t_final = positive_number(_require(obj, "t_final", "pde"), "pde.t_final")
+    # stable_dt's step count as a float, inf where dx * dx underflows; with
+    # nodes >= 1 the cap also bounds it, so stable_dt below cannot overflow
+    limit = cfl_limit(gp, dx)
+    steps = t_final / limit / CFL_SAFETY if limit > 0 else math.inf
+    nodes = abs(hi - lo) / dx + 1
+    if not (nodes <= GRID_NODE_CAP and nodes * steps <= MARCH_UPDATE_CAP):
+        raise ValidationError(
+            f"pde.dx = {dx!r} asks for a march of {steps:.3g} steps on {nodes:.3g} nodes "
+            f"up to t = {t_final:g}; the caps are {GRID_NODE_CAP} nodes and "
+            f"{MARCH_UPDATE_CAP:.0e} node updates"
+        )
+    return SolverConfig(lo, hi, dx, stable_dt(gp, dx, t_final), t_final)
 
 
 def parse_nested_config(obj: dict, where: str = "dp") -> NestedEvalConfig:
+    known_keys(obj, ("x_range", "num_points", "mode", "edge"), where)
     num = _integer(_require(obj, "num_points", where), f"{where}.num_points", 2, GRID_NODE_CAP)
     return NestedEvalConfig(
         state_grid=(*_pair(obj, "x_range", where), num),
@@ -155,7 +183,9 @@ def eps_from_rule(rule: dict, count: int) -> np.ndarray:
     kind = str(_require(rule, "kind", "eps_rule"))
     idx = np.arange(count, dtype=float)
     if kind == "zero":
+        known_keys(rule, ("kind",), "eps_rule")
         return np.zeros(count)
+    known_keys(rule, ("kind", "offset", "scale"), "eps_rule")
     offset = positive_number(rule.get("offset", 4.0), "eps_rule.offset")
     scale = rule.get("scale", 1.0)
     if not _is_number(scale):
@@ -193,10 +223,10 @@ class ExperimentPreset:
 
 def parse_phi(doc: dict, where: str) -> TestFunction:
     """The 1-d function named by ``phi``, built with the numbers in ``phi_params``."""
-    params = _section(doc, "phi_params", where)
-    if not all(map(_is_number, params.values())):
-        raise ValidationError(f"{where}.phi_params values must be finite numbers, got {params!r}")
-    return named_function(str(_require(doc, "phi", where)), dim=1, **params)
+    params = doc.get("phi_params", {})
+    if not isinstance(params, dict) or not all(map(_is_number, params.values())):
+        raise ValidationError(f"{where}.phi_params must map names to numbers, got {params!r}")
+    return named_function(str(_require(doc, "phi", where)), 1, params)
 
 
 def output_stem(value, name: str) -> str:
@@ -211,23 +241,34 @@ def parse_preset(doc: dict) -> ExperimentPreset:
     family = str(_require(doc, "family", "preset"))
     if family not in ("iid", "perturbed"):
         raise ValidationError(f"preset.family must be 'iid' or 'perturbed', got {family!r}")
-    fam = _section(doc, "family_params", "preset")
+    known_keys(doc, PRESET_KEYS + (("eps_rule",) if family == "perturbed" else ()), "preset")
+    fam = doc.get("family_params", {})
+    known_keys(fam, ("sigma_levels", "mean_levels", "n_max"), "family_params")
     raw = _require(doc, "n_schedule", "preset")
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"preset.n_schedule must be a nonempty list of integers, got {raw!r}")
     schedule = tuple(_integer(v, f"preset.n_schedule[{i}]") for i, v in enumerate(raw))
+    sigma_levels = _integer(fam.get("sigma_levels", 2), "family_params.sigma_levels")
+    mean_levels = _integer(fam.get("mean_levels", 2), "family_params.mean_levels")
+    n_max = _integer(fam.get("n_max", max(schedule)), "family_params.n_max")
+    if n_max * sigma_levels * mean_levels > MODEL_LAW_CAP:
+        raise ValidationError(
+            f"family_params.n_max x family_params.sigma_levels x family_params.mean_levels = "
+            f"{n_max} x {sigma_levels} x {mean_levels} laws, above the cap of {MODEL_LAW_CAP}"
+        )
+    gp = parse_gparams(_require(doc, "gp", "preset"))
     return ExperimentPreset(
         name=name,
-        gp=parse_gparams(_require(doc, "gp", "preset")),
+        gp=gp,
         family=family,
-        sigma_levels=_integer(fam.get("sigma_levels", 2), "family_params.sigma_levels"),
-        mean_levels=_integer(fam.get("mean_levels", 2), "family_params.mean_levels"),
-        n_max=_integer(fam.get("n_max", max(schedule)), "family_params.n_max"),
+        sigma_levels=sigma_levels,
+        mean_levels=mean_levels,
+        n_max=n_max,
         eps_rule=doc.get("eps_rule"),
         phi=parse_phi(doc, "preset"),
         n_schedule=schedule,
         dp=parse_nested_config(_require(doc, "dp", "preset")),
-        pde=parse_solver_config(_require(doc, "pde", "preset")),
+        pde=parse_solver_config(_require(doc, "pde", "preset"), gp, 1.0),
         tolerance=positive_number(_require(doc, "tolerance", "preset"), "preset.tolerance"),
         output_dir=str(doc.get("output_dir", "out")),
     )

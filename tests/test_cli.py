@@ -17,7 +17,20 @@ SOLVE = {
     "label": "cos-profile",
     "gp": {"mu": [0.0, 0.0], "sigma2": [1.0, 1.0]},
     "phi": "cos",
-    "solver": {"x_range": [-6.0, 6.0], "dx": 0.1, "dt": 0.005, "t_final": 1.0},
+    "pde": {"x_range": [-6.0, 6.0], "dx": 0.1, "t_final": 1.0},
+}
+# a small perturbed-family preset that converges (exit 0) and has every section
+SMALL = {
+    "name": "small",
+    "gp": {"mu": [0.0, 0.0], "sigma2": [1.0, 1.0]},
+    "family": "perturbed",
+    "family_params": {"n_max": 4, "sigma_levels": 1, "mean_levels": 1},
+    "eps_rule": {"kind": "harmonic", "scale": 0.1},
+    "phi": "cos",
+    "n_schedule": [4],
+    "dp": {"x_range": [-6, 6], "num_points": 101},
+    "pde": {"x_range": [-6, 6], "dx": 0.5},
+    "tolerance": 0.1,
 }
 
 
@@ -102,7 +115,7 @@ class TestClt:
             "phi": "cos",
             "n_schedule": [4],
             "dp": {"x_range": [-6, 6], "num_points": 101},
-            "pde": {"x_range": [-6, 6], "dx": 0.5, "dt": 0.1, "t_final": 1.0},
+            "pde": {"x_range": [-6, 6], "dx": 0.5},
             "tolerance": 0.1,
         }
         rc = main(["clt", "--config", write(tmp_path, "z.json", doc)])
@@ -132,27 +145,42 @@ class TestClt:
             ("eps_rule", "offset", "a", "eps_rule.offset"),
             (None, "phi_params", 5, "preset.phi_params"),
             (None, "name", "../escaped", "preset.name"),
+            (None, "eps_rul", {"kind": "harmonic", "scale": 0.1}, "unknown key preset.eps_rul;"),
+            ("gp", "sigma", [1.0, 1.0], "unknown key gp.sigma;"),
+            ("family_params", "n_maxx", 4, "unknown key family_params.n_maxx;"),
+            ("eps_rule", "offst", 4, "unknown key eps_rule.offst;"),
+            ("dp", "modes", "grid_interp", "unknown key dp.modes;"),
+            ("pde", "boundary", "clamp_phi", "unknown key pde.boundary;"),
+            (None, "phi_params", {"dim": 2}, "phi_params.dim is not a parameter of 'cos'"),
+            (None, "phi_params", {"name": 1}, "phi_params.name is not a parameter of 'cos'"),
+            (None, "phi_params", {"clip": 2.0}, "phi_params.clip is not a parameter of 'cos'"),
         ],
     )
     def test_malformed_field_is_a_validation_error(self, tmp_path, capsys, section, key, value, field):
-        doc = {
-            "name": "small",
-            "gp": {"mu": [0.0, 0.0], "sigma2": [1.0, 1.0]},
-            "family": "perturbed",
-            "family_params": {"n_max": 4, "sigma_levels": 1, "mean_levels": 1},
-            "eps_rule": {"kind": "harmonic", "scale": 0.1},
-            "phi": "cos",
-            "n_schedule": [4],
-            "dp": {"x_range": [-6, 6], "num_points": 101},
-            "pde": {"x_range": [-6, 6], "dx": 0.5, "dt": 0.1, "t_final": 1.0},
-            "tolerance": 0.1,
-        }
-        assert main(["clt", "--config", write(tmp_path, "ok.json", doc), "--out", str(tmp_path)]) == 0
-        bad = copy.deepcopy(doc)
+        ok = write(tmp_path, "ok.json", SMALL)
+        assert main(["clt", "--config", ok, "--out", str(tmp_path)]) == 0
+        bad = copy.deepcopy(SMALL)
         (bad[section] if section else bad)[key] = value
         rc = main(["clt", "--config", write(tmp_path, "bad.json", bad), "--out", str(tmp_path)])
         assert rc == 2
         assert field in capsys.readouterr().out
+
+    def test_eps_rule_needs_the_perturbed_family(self, tmp_path, capsys):
+        doc = {**SMALL, "family": "iid"}
+        rc = main(["clt", "--config", write(tmp_path, "iid.json", doc), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "unknown key preset.eps_rule;" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key, value", [("n_max", 10**6), ("sigma_levels", 10**5), ("mean_levels", 10**5)]
+    )
+    def test_model_size_cap(self, tmp_path, capsys, key, value):
+        bad = copy.deepcopy(SMALL)
+        bad["family_params"][key] = value
+        rc = main(["clt", "--config", write(tmp_path, "big.json", bad), "--out", str(tmp_path)])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert f"family_params.{key}" in out and "above the cap" in out
 
 
 class TestVerify:
@@ -178,11 +206,12 @@ class TestSolveAndConditions:
     @pytest.mark.parametrize(
         "section, key, value, field",
         [
-            ("solver", "dx", "a", "solver.dx"),
-            ("solver", "dt", "a", "solver.dt"),
-            ("solver", "t_final", "a", "solver.t_final"),
+            ("pde", "dx", "a", "pde.dx"),
+            ("pde", "dt", "a", "pde.dt"),
+            ("pde", "t_final", "a", "pde.t_final"),
             (None, "phi_params", 5, "document.phi_params"),
             (None, "label", "../escaped", "document.label"),
+            (None, "solver", {"x_range": [-6.0, 6.0], "dx": 0.1}, "document.solver"),
         ],
     )
     def test_malformed_solve_field(self, tmp_path, capsys, section, key, value, field):
@@ -191,6 +220,23 @@ class TestSolveAndConditions:
         rc = main(["solve", "--config", write(tmp_path, "s.json", bad), "--out", str(tmp_path)])
         assert rc == 2
         assert field in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, doc, change",
+        [
+            pytest.param("clt", SMALL, {"dx": 1e-3}, id="preset-small-dx"),
+            pytest.param("clt", SMALL, {"dx": 1e-300}, id="preset-tiny-dx"),
+            pytest.param("solve", SOLVE, {"t_final": 1e12}, id="solve-long-horizon"),
+            pytest.param("solve", SOLVE, {"dx": 1e-6, "t_final": 1e-13}, id="solve-many-nodes"),
+        ],
+    )
+    def test_pde_march_cap(self, tmp_path, capsys, command, doc, change):
+        bad = copy.deepcopy(doc)
+        bad["pde"].update(change)
+        rc = main([command, "--config", write(tmp_path, "big.json", bad), "--out", str(tmp_path)])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: pde.dx = ") and "the caps are" in out
 
     def test_check_conditions(self, tmp_path, capsys):
         rc = main(["check-conditions", "--config", "g-perturbed", "--out", str(tmp_path)])

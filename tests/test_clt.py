@@ -162,6 +162,13 @@ class TestRunCLT:
         with pytest.raises(ValidationError, match="half-width"):
             run_clt(model, cosine(), [4, 8], DP_SMALL, narrow)
 
+    def test_horizon_must_be_one(self):
+        # the nested value is the t = 1 limit; a PDE value at another time is no reference
+        model = build_iid_family(GP_DEG, 1, 1, 8)
+        half_time = SolverConfig(-6.0, 6.0, 0.5, stable_dt(GP_DEG, 0.5, 0.5), 0.5)
+        with pytest.raises(ValidationError, match="t = 1"):
+            run_clt(model, cosine(), [8], DP_SMALL, half_time)
+
     def test_removing_a_scenario_cannot_increase_value(self):
         model = build_iid_family(GP_AMB, 2, 2, 6)
         full = nested_expect(ramp(clip=4.0), model, 6, DP_SMALL)

@@ -106,7 +106,3 @@ class TestGParamsValidation:
     def test_inverted_variance_interval(self):
         with pytest.raises(ValidationError):
             GParams(0.0, 0.0, 4.0, 1.0)
-
-    def test_corners_deduplicate(self):
-        assert len(GParams(0.0, 0.0, 1.0, 1.0).corners()) == 1
-        assert len(GP.corners()) == 4

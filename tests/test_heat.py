@@ -22,6 +22,7 @@ from gexpect import (
 )
 from gexpect.functions import add, const, cosine, ramp
 from gexpect.heat import _march
+from gexpect.io import parse_solver_config
 
 DEG = GParams(0.0, 0.0, 1.0, 1.0)
 AMB = GParams(-1.0, 1.0, 1.0, 4.0)
@@ -43,20 +44,36 @@ def cfg_for(gp, half, dx=0.02, t_final=1.0):
 
 
 def refined(cfg):
-    return SolverConfig(cfg.x_lo, cfg.x_hi, cfg.dx / 2, cfg.dt / 4, cfg.t_final, cfg.boundary)
+    return SolverConfig(cfg.x_lo, cfg.x_hi, cfg.dx / 2, cfg.dt / 4, cfg.t_final)
+
+
+def corners(gp):
+    """The (drift, variance) corners of the uncertainty rectangle."""
+    return [(q, s2) for q in (gp.mu_lo, gp.mu_hi) for s2 in (gp.sig2_lo, gp.sig2_hi)]
+
+
+def marched_in_chunks(gp, phi, cfg, chunk):
+    """The profiles after every ``chunk`` steps of the march ``solve`` runs,
+    and the final profile."""
+    v = phi(cfg.grid())
+    edge = (v[0], v[-1])
+    profiles = []
+    for done in range(0, cfg.n_steps, chunk):
+        v = _march(v, gp, cfg.dx, cfg.dt, min(chunk, cfg.n_steps - done), edge)
+        profiles.append(v)
+    return profiles
 
 
 def four_corner_march(v, gp, dx, dt_step, n_steps):
     """Reference: the unsplit march, maximizing over each corner of the rectangle."""
     v = v.copy()
     edge_values = (v[0], v[-1])
-    corners = gp.corners()
     for m in range(n_steps):
         d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
         d_fwd = (v[2:] - v[1:-1]) / dx
         d_bwd = (v[1:-1] - v[:-2]) / dx
         best = np.full(v.size - 2, -np.inf)
-        for q, s2 in corners:
+        for q, s2 in corners(gp):
             drift = q * (d_fwd if q >= 0 else d_bwd)
             np.maximum(best, drift + 0.5 * s2 * d2, out=best)
         v[1:-1] += dt_step * best
@@ -108,10 +125,11 @@ class TestSeparableMarch:
 class TestClosedForms:
     def test_constant_preserved(self):
         cfg = cfg_for(AMB, 13.0, dx=0.1)
-        seen = []
-        vf = solve(AMB, const(2.0), cfg, callback=lambda m, t, v: seen.append(np.ptp(v)))
+        vf = solve(AMB, const(2.0), cfg)
         assert np.max(np.abs(vf.grid_values - 2.0)) < 1e-12
-        assert max(seen) < 1e-12
+        steps = marched_in_chunks(AMB, const(2.0), cfg, 1)
+        assert len(steps) == cfg.n_steps
+        assert max(np.ptp(v) for v in steps) < 1e-12
 
     def test_gaussian_cos(self):
         cfg = cfg_for(DEG, 7.0)
@@ -172,11 +190,11 @@ class TestStructure:
         cfg = cfg_for(AMB, 13.0, dx=0.1)
         phi = cosine()
         lo, hi = -1.0, 1.0
-
-        def check(m, t, v):
+        steps = marched_in_chunks(AMB, phi, cfg, 1)
+        for v in steps:
             assert v.min() >= lo - 1e-12 and v.max() <= hi + 1e-12
-
-        vf = solve(AMB, phi, cfg, callback=check)
+        vf = solve(AMB, phi, cfg)
+        assert np.array_equal(steps[-1], vf.grid_values)
         assert float(np.max(np.abs(vf.grid_values))) <= 1.0 + 1e-12  # |cos| <= 1
 
     def test_comparison(self):
@@ -202,22 +220,19 @@ class TestStructure:
         margin = int(5.0 / cfg.dx)  # clears the clamp boundary layer
         inner = slice(margin, -margin)
 
-        def check(m, t, v):
-            if m % 50 != 0:
-                return
+        for v in marched_in_chunks(BACH, ramp(), cfg, 50):
             w = v[inner]
             assert np.all(np.diff(w) >= -1e-12)
             assert np.all(np.diff(w, 2) >= -1e-12)
 
-        vf = solve(BACH, ramp(), cfg, callback=check)
-        v = vf.grid_values
+        v = solve(BACH, ramp(), cfg).grid_values
         dx = cfg.dx
         d2 = (v[2:] - 2 * v[1:-1] + v[:-2]) / dx**2
         fwd = (v[2:] - v[1:-1]) / dx
         bwd = (v[1:-1] - v[:-2]) / dx
         upper = BACH.mu_hi * fwd + 0.5 * BACH.sig2_hi * d2
         others = [
-            q * (fwd if q >= 0 else bwd) + 0.5 * s2 * d2 for q, s2 in BACH.corners()
+            q * (fwd if q >= 0 else bwd) + 0.5 * s2 * d2 for q, s2 in corners(BACH)
         ]
         for cand in others:
             assert np.all(upper[inner] >= cand[inner] - 1e-12)
@@ -289,8 +304,10 @@ class TestConfigAndErrors:
         assert np.all(vf.grid_values == 1e306)
 
     def test_unknown_boundary_rejected(self):
-        with pytest.raises(ValidationError, match="boundary"):
-            SolverConfig(-6.0, 6.0, 0.1, 1e-3, 1.0, boundary="linear_extrapolate")
+        # clamping the edges to phi is the only boundary, so a document cannot name one
+        section = {"x_range": [-6.0, 6.0], "dx": 0.1, "boundary": "linear_extrapolate"}
+        with pytest.raises(ValidationError, match="unknown key pde.boundary"):
+            parse_solver_config(section, DEG, 1.0)
 
 
 class TestClassicalOracle:

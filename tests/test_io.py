@@ -1,11 +1,12 @@
 """Wire formats: document loading, preset resolution, report writers."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from gexpect import ValidationError
+from gexpect import GParams, ValidationError, stable_dt
 from gexpect.clt import ConvergenceReport, check_conditions
 from gexpect.io import (
     eps_from_rule,
@@ -88,11 +89,18 @@ class TestConfigParsers:
             parse_gparams({"mu": [0.0, 0.0], "sigma2": [0.0, 1.0]})
 
     def test_solver_config(self):
-        cfg = parse_solver_config(
-            {"x_range": [-6.0, 6.0], "dx": 0.1, "dt": 0.001, "t_final": 1.0}
-        )
-        assert cfg.boundary == "clamp_phi"
+        gp = GParams(0.0, 0.0, 1.0, 1.0)
+        cfg = parse_solver_config({"x_range": [-6.0, 6.0], "dx": 0.1}, gp, 1.0)
         assert cfg.n_intervals == 120
+        assert (cfg.dt, cfg.t_final) == (stable_dt(gp, 0.1, 1.0), 1.0)
+
+    def test_march_cap(self):
+        # the g-* presets admit dx/2 (about 1.05e8 node updates) and refuse dx/8 (6.7e9)
+        section = {"x_range": [-12.5, 12.5], "dx": 0.01}
+        gp = load_preset("g-ambiguous").gp
+        assert parse_solver_config(section, gp, 1.0).n_intervals == 2500
+        with pytest.raises(ValidationError, match="pde.dx = 0.0025 asks for"):
+            parse_solver_config({**section, "dx": 0.0025}, gp, 1.0)
 
     def test_nested_config_defaults(self):
         cfg = parse_nested_config({"x_range": [-4.0, 4.0], "num_points": 101})
@@ -132,7 +140,7 @@ class TestPresets:
             "phi": "cos",
             "n_schedule": [2, 4],
             "dp": {"x_range": [-6.0, 6.0], "num_points": 101},
-            "pde": {"x_range": [-6.0, 6.0], "dx": 0.5, "dt": 0.05, "t_final": 1.0},
+            "pde": {"x_range": [-6.0, 6.0], "dx": 0.5},
             "tolerance": 0.5,
         }
         (tmp_path / "copy.json").write_text(json.dumps(doc))
@@ -149,7 +157,7 @@ class TestPresets:
                 "name": "x", "gp": {"mu": [0, 0], "sigma2": [1, 1]}, "family": "magic",
                 "phi": "cos", "n_schedule": [2],
                 "dp": {"x_range": [-1, 1], "num_points": 11},
-                "pde": {"x_range": [-1, 1], "dx": 0.25, "dt": 0.01, "t_final": 1.0},
+                "pde": {"x_range": [-1, 1], "dx": 0.25},
                 "tolerance": 0.1,
             })
         with pytest.raises(ValidationError, match="tolerance"):
@@ -157,9 +165,31 @@ class TestPresets:
                 "name": "x", "gp": {"mu": [0, 0], "sigma2": [1, 1]}, "family": "iid",
                 "phi": "cos", "n_schedule": [2],
                 "dp": {"x_range": [-1, 1], "num_points": 11},
-                "pde": {"x_range": [-1, 1], "dx": 0.25, "dt": 0.01, "t_final": 1.0},
+                "pde": {"x_range": [-1, 1], "dx": 0.25},
                 "tolerance": 0.0,
             })
+
+    @pytest.mark.parametrize(
+        "name, dt",
+        [
+            ("classical-cos", 0.00037993920972644377),
+            ("g-ambiguous", 9.47597839476926e-05),
+            ("g-perturbed", 9.47597839476926e-05),
+        ],
+    )
+    def test_derived_dt_is_the_one_presets_carried(self, name, dt):
+        pde = load_preset(name).pde
+        assert (pde.dt, pde.t_final) == (dt, 1.0)
+
+    def test_model_cap_admits_deep_models(self):
+        doc = json.loads(
+            resources.files("gexpect").joinpath("presets", "g-perturbed.json").read_text()
+        )
+        doc["family_params"]["n_max"] = 1024  # 6,144 laws
+        assert parse_preset(doc).n_max == 1024
+        doc["family_params"]["n_max"] = 20_000  # 120,000 laws
+        with pytest.raises(ValidationError, match="above the cap"):
+            parse_preset(doc)
 
     def test_build_model_from_preset(self):
         pre = load_preset("g-perturbed")
