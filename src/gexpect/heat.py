@@ -31,14 +31,28 @@ compares against.
 
 Batch axis: the march also takes profiles of shape (B, N) with one step
 size per row, all rows on the same grid and marched for the same number
-of steps. Rows never mix, so each row comes out bitwise equal to a
-one-row march at its step size; ``semigroup_check`` marches two of its
-three legs together this way.
+of steps. It stores them node-major, as one C-contiguous (N, B) array
+with the per-row coefficients dt_i * k as full (N-2, B) blocks, so every
+operation of a step runs over one contiguous block. Each element is still
+the same product or sum of the same two floats, so each row comes out
+bitwise equal to a one-row march at its step size; ``semigroup_check``
+marches two of its three legs together this way.
 
-Boundary handling: every step re-imposes the terminal data at the two
-edge nodes. The domain must be wide enough that the boundary influence
-at the evaluation point is below tolerance; the harness enforces
-half-width >= 6*sigma_hi + |mu|_max at its horizon t = 1.
+Boundary handling: the update writes only the interior nodes, so the two
+edge nodes keep the terminal data they start with. The domain must be
+wide enough that the boundary influence at the evaluation point is below
+tolerance; the harness enforces half-width >= 6*sigma_hi + |mu|_max at
+its horizon t = 1.
+
+Finiteness: the march checks once, at the end, that every node is finite.
+That is the same as checking after every step: a sum x + y is finite only
+if both terms are, so an interior node that is not finite stays so at
+every later step, and the edge nodes never change. On a miss the march is
+replayed from its input with a check after every step, which raises
+``NumericsError`` naming the first step that left a non-finite node.
+
+Work cap: ``SolverConfig`` refuses more than ``GRID_NODE_CAP`` nodes or
+``MARCH_UPDATE_CAP`` node updates (time steps x nodes).
 
 Time step: a monotone scheme converges as dx refines with dt proportional
 to dx^2, so ``dt`` is no accuracy setting of its own: ``stable_dt`` derives
@@ -55,9 +69,11 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .functions import TestFunction
 from .gfunction import GParams
+from .nested import GRID_NODE_CAP
 
 _GRID_INT_TOL = 1e-9
 CFL_SAFETY = 0.95
+MARCH_UPDATE_CAP = 10**9  # time steps x nodes of one march
 
 
 @dataclass(frozen=True)
@@ -70,15 +86,23 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if not self.x_lo < self.x_hi:
-            raise ValidationError("need x_lo < x_hi")
-        if self.dx <= 0 or self.dt <= 0 or self.t_final <= 0:
-            raise ValidationError("dx, dt, t_final must be positive")
+            raise ValidationError("x_range needs x_lo < x_hi")
+        if not (self.dx > 0 and self.dt > 0 and self.t_final > 0):
+            raise ValidationError("dx, dt and t_final must be positive")
+        # the caps bound the float ratios, so the round() calls below stay small
         nx = (self.x_hi - self.x_lo) / self.dx
+        nodes = nx + 1
+        steps = self.t_final / self.dt
+        if not (nodes <= GRID_NODE_CAP and nodes * steps <= MARCH_UPDATE_CAP):
+            raise ValidationError(
+                f"dx = {self.dx!r} asks for a march of {steps:.3g} steps of dt = {self.dt!r} "
+                f"on {nodes:.3g} nodes up to t = {self.t_final:g}; the caps are "
+                f"{GRID_NODE_CAP} nodes and {MARCH_UPDATE_CAP:.0e} node updates"
+            )
         if abs(nx - round(nx)) > _GRID_INT_TOL or round(nx) < 8:
-            raise ValidationError("(x_hi - x_lo)/dx must be an integer >= 8")
-        nt = self.t_final / self.dt
-        if abs(nt - round(nt)) > _GRID_INT_TOL * max(1.0, nt):
-            raise ValidationError("t_final/dt must be an integer")
+            raise ValidationError("dx must divide x_hi - x_lo into an integer >= 8 intervals")
+        if abs(steps - round(steps)) > _GRID_INT_TOL * max(1.0, steps):
+            raise ValidationError("dt must divide t_final into an integer number of steps")
 
     @property
     def n_intervals(self) -> int:
@@ -105,9 +129,15 @@ def cfl_limit(gp: GParams, dx: float) -> float:
 
 
 def stable_dt(gp: GParams, dx: float, t_total: float) -> float:
-    """A CFL-stable dt that divides t_total into an integer number of steps."""
-    steps = math.ceil(t_total / (CFL_SAFETY * cfl_limit(gp, dx)))
-    return t_total / steps
+    """A CFL-stable dt that divides t_total into an integer number of steps.
+
+    Where the bound underflows or the step count overflows, no float step
+    is stable; the smallest positive float is returned, and ``SolverConfig``
+    refuses its step count.
+    """
+    bound = CFL_SAFETY * cfl_limit(gp, dx)
+    steps = t_total / bound if bound > 0 else math.inf
+    return t_total / math.ceil(steps) if steps < math.inf else math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -124,52 +154,62 @@ class ValueFunction:
 
 
 def _march(
-    v: np.ndarray,
-    gp: GParams,
-    dx: float,
-    dt: float | np.ndarray,
-    n_steps: int,
-    edge_values: tuple[float, float],
+    v: np.ndarray, gp: GParams, dx: float, dt: float | np.ndarray, n_steps: int
 ) -> np.ndarray:
     """Advance profiles ``n_steps`` explicit steps.
 
     ``v`` is one profile of shape (N,) or a batch of shape (B, N), and
-    ``dt`` is one step size or one per row. Returns a new array shaped
-    like ``v``.
+    ``dt`` is one step size or one per row. The two edge nodes keep the
+    values they have in ``v``. Returns a new array shaped like ``v``;
+    ``v`` itself is not modified.
     """
-    dt_rows = np.asarray(dt, dtype=float).reshape(-1, 1)
-    limit = cfl_limit(gp, dx)
-    if dt_rows.max() > limit * (1.0 + 1e-12):
-        raise ValidationError(
-            f"effective step {float(dt_rows.max())!r} violates the CFL bound {limit!r}"
-        )
-    v = np.array(v, dtype=float)
+    v = np.asarray(v, dtype=float)
+    out = _advance(v, gp, dx, dt, n_steps, check_each=False)
+    if not np.isfinite(out).all():
+        # finite at the end iff finite after every step, so replay from v,
+        # checking each step, to name the first one that was not
+        _advance(v, gp, dx, dt, n_steps, check_each=True)
+    return out
+
+
+def _advance(
+    v: np.ndarray, gp: GParams, dx: float, dt: float | np.ndarray, n_steps: int, check_each: bool
+) -> np.ndarray:
+    """The march of ``_march`` on a node-major copy of ``v``; with
+    ``check_each`` it raises ``NumericsError`` at the first step that
+    leaves a non-finite node."""
     rows = v.reshape(-1, v.shape[-1])
-    inner = rows[:, 1:-1]
-    lo, hi = edge_values
-    dd = np.empty((rows.shape[0], rows.shape[1] - 1))
-    fwd, bwd = dd[:, 1:], dd[:, :-1]
+    batch, n = rows.shape
+    nodes = rows[0].copy() if batch == 1 else np.array(rows.T, order="C")
+    upper, lower, inner = nodes[1:], nodes[:-1], nodes[1:-1]
+    dd = np.empty(upper.shape)
+    fwd, bwd = dd[1:], dd[:-1]
     d2, inc, term, term2 = (np.empty(inner.shape) for _ in range(4))
-    finite = np.empty(rows.shape, dtype=bool)
+    dts = np.broadcast_to(np.asarray(dt, dtype=float).reshape(-1), (batch,))
+
+    def per_row(k: float) -> np.ndarray:
+        # dt_i * k: a 0-d array (numpy's cheapest scalar operand) for one row,
+        # a full (N-2, B) block for a batch
+        if batch == 1:
+            return np.array(float(dts[0]) * k)
+        return np.repeat((dts * k)[None], n - 2, axis=0)
+
     s2s = sorted({gp.sig2_lo, gp.sig2_hi})
-    diffusion = [(dt_rows * (0.5 * s2 / (dx * dx)), d2) for s2 in s2s]
+    diffusion = [(per_row(0.5 * s2 / (dx * dx)), d2) for s2 in s2s]
     qs = sorted({gp.mu_lo, gp.mu_hi})
-    drift = [] if qs == [0.0] else [(dt_rows * (q / dx), fwd if q >= 0 else bwd) for q in qs]
+    drift = [] if qs == [0.0] else [(per_row(q / dx), fwd if q >= 0 else bwd) for q in qs]
     for m in range(n_steps):
-        np.subtract(rows[:, 1:], rows[:, :-1], out=dd)
+        np.subtract(upper, lower, out=dd)
         np.subtract(fwd, bwd, out=d2)
         _max_of_products(diffusion, inc, term)
         if drift:
             np.add(inc, _max_of_products(drift, term, term2), out=inc)
         np.add(inner, inc, out=inner)
-        rows[:, 0] = lo
-        rows[:, -1] = hi
-        np.isfinite(rows, out=finite)
-        if not finite.all():
+        if check_each and not np.isfinite(nodes).all():
             raise NumericsError(
                 f"non-finite values at step {m + 1} (t={(m + 1) * dt!r}); aborting"
             )
-    return v
+    return nodes.reshape(v.shape) if batch == 1 else np.ascontiguousarray(nodes.T)
 
 
 def _max_of_products(
@@ -192,8 +232,7 @@ def solve(gp: GParams, phi: TestFunction, cfg: SolverConfig) -> ValueFunction:
     v0 = phi(xs)
     if not np.all(np.isfinite(v0)):
         raise NumericsError("initial data is not finite on the grid")
-    edge = (float(v0[0]), float(v0[-1]))
-    out = _march(v0, gp, cfg.dx, cfg.dt, cfg.n_steps, edge)
+    out = _march(v0, gp, cfg.dx, cfg.dt, cfg.n_steps)
     return ValueFunction(grid_values=out, t=cfg.t_final, config=cfg)
 
 
@@ -225,7 +264,6 @@ def semigroup_check(gp: GParams, phi: TestFunction, a: float, b: float, cfg: Sol
     cfg.check_cfl(gp)
     xs = cfg.grid()
     v0 = phi(xs)
-    edge = (float(v0[0]), float(v0[-1]))
     n = cfg.n_steps
     # the first two-stage leg and the single-stage leg start from the same
     # data, so they march as one batch; zero-horizon legs are skipped
@@ -233,10 +271,10 @@ def semigroup_check(gp: GParams, phi: TestFunction, a: float, b: float, cfg: Sol
     stages = np.array([v0, v0])
     live = horizons > 0.0
     if live.any():
-        stages[live] = _march(stages[live], gp, cfg.dx, horizons[live] / n, n, edge)
+        stages[live] = _march(stages[live], gp, cfg.dx, horizons[live] / n, n)
     two, one = stages
     if b * b > 0.0:
-        two = _march(two, gp, cfg.dx, b * b / n, n, edge)
+        two = _march(two, gp, cfg.dx, b * b / n, n)
     return float(np.max(np.abs(two[1:-1] - one[1:-1])))
 
 

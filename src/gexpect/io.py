@@ -22,9 +22,9 @@ Wire formats:
 
 Every section refuses a key it does not read, and a field of the wrong
 type or range raises ``ValidationError`` naming it as ``<section>.<key>``.
-Two caps refuse, before anything is allocated, a PDE march of more than
-``MARCH_UPDATE_CAP`` node updates or ``GRID_NODE_CAP`` nodes, and a model
-of more than ``MODEL_LAW_CAP`` laws.
+Caps refuse, before anything is allocated, a PDE march of more than
+``heat.MARCH_UPDATE_CAP`` node updates or ``GRID_NODE_CAP`` nodes (checked
+by ``SolverConfig``), and a model of more than ``MODEL_LAW_CAP`` laws.
 """
 
 from __future__ import annotations
@@ -41,12 +41,11 @@ from .clt import SequenceModel, build_iid_family, build_perturbed_family
 from .errors import ValidationError
 from .functions import TestFunction, named_function
 from .gfunction import GParams
-from .heat import CFL_SAFETY, SolverConfig, ValueFunction, cfl_limit, stable_dt
+from .heat import SolverConfig, ValueFunction, stable_dt
 from .nested import GRID_NODE_CAP, NestedEvalConfig
 from .scenarios import DiscreteDistribution, ScenarioSet
 
 LOADER_WEIGHT_TOL = 1e-9
-MARCH_UPDATE_CAP = 10**9  # time steps x nodes of one PDE march
 MODEL_LAW_CAP = 100_000  # n_max x sigma_levels x mean_levels
 PRESET_KEYS = (
     "name", "gp", "family", "family_params", "phi", "phi_params", "n_schedule",
@@ -96,6 +95,7 @@ def _pair(obj: dict, key: str, where: str) -> tuple[float, float]:
 
 
 def parse_distribution(obj: dict, where: str) -> DiscreteDistribution:
+    known_keys(obj, ("atoms",), where)
     rows = _require(obj, "atoms", where)
     if not isinstance(rows, list) or not rows:
         raise ValidationError(f"{where}: 'atoms' must be a nonempty list")
@@ -118,6 +118,7 @@ def parse_distribution(obj: dict, where: str) -> DiscreteDistribution:
 
 
 def parse_scenario_set(obj: dict, where: str) -> ScenarioSet:
+    known_keys(obj, ("dists", "label"), where)
     dists_raw = _require(obj, "dists", where)
     if not isinstance(dists_raw, list) or not dists_raw:
         raise ValidationError(f"{where}: 'dists' must be a nonempty list")
@@ -133,6 +134,7 @@ def parse_scenario_set(obj: dict, where: str) -> ScenarioSet:
 
 def load_steps_document(doc: dict) -> tuple[list[ScenarioSet], str]:
     """Parse the ``steps`` document shared by scenario sets and models."""
+    known_keys(doc, ("steps", "label"), "document")
     steps_raw = _require(doc, "steps", "document")
     if not isinstance(steps_raw, list) or not steps_raw:
         raise ValidationError("document: 'steps' must be a nonempty list")
@@ -153,18 +155,10 @@ def parse_solver_config(obj: dict, gp: GParams, t_final: float | None) -> Solver
     dx = positive_number(_require(obj, "dx", "pde"), "pde.dx")
     if t_final is None:
         t_final = positive_number(_require(obj, "t_final", "pde"), "pde.t_final")
-    # stable_dt's step count as a float, inf where dx * dx underflows; with
-    # nodes >= 1 the cap also bounds it, so stable_dt below cannot overflow
-    limit = cfl_limit(gp, dx)
-    steps = t_final / limit / CFL_SAFETY if limit > 0 else math.inf
-    nodes = abs(hi - lo) / dx + 1
-    if not (nodes <= GRID_NODE_CAP and nodes * steps <= MARCH_UPDATE_CAP):
-        raise ValidationError(
-            f"pde.dx = {dx!r} asks for a march of {steps:.3g} steps on {nodes:.3g} nodes "
-            f"up to t = {t_final:g}; the caps are {GRID_NODE_CAP} nodes and "
-            f"{MARCH_UPDATE_CAP:.0e} node updates"
-        )
-    return SolverConfig(lo, hi, dx, stable_dt(gp, dx, t_final), t_final)
+    try:
+        return SolverConfig(lo, hi, dx, stable_dt(gp, dx, t_final), t_final)
+    except ValidationError as exc:
+        raise ValidationError(f"pde.{exc}") from None
 
 
 def parse_nested_config(obj: dict, where: str = "dp") -> NestedEvalConfig:

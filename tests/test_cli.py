@@ -47,6 +47,23 @@ class TestExpect:
         assert rc == 0
         assert "E[x^2] = 1.0" in out
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({**RADEMACHER, "lable": "r"}, "document.lable"),
+            ({"steps": [{**RADEMACHER["steps"][0], "lable": "s"}]}, "steps[0].lable"),
+            (
+                {"steps": [{"dists": [{"atoms": [[1, 0.5], [-1, 0.5]], "weight": 1.0}]}]},
+                "steps[0].dists[0].weight",
+            ),
+        ],
+        ids=["document", "step", "distribution"],
+    )
+    def test_unknown_key_refused(self, tmp_path, capsys, doc, field):
+        rc = main(["expect", "x2", "--config", write(tmp_path, "r.json", doc)])
+        assert rc == 2
+        assert f"unknown key {field};" in capsys.readouterr().out
+
     def test_bad_weights(self, tmp_path, capsys):
         doc = {"steps": [{"dists": [{"atoms": [[1, 0.5], [-1, 0.4]]}]}]}
         rc = main(["expect", "x2", "--config", write(tmp_path, "w.json", doc)])

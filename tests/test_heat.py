@@ -56,10 +56,9 @@ def marched_in_chunks(gp, phi, cfg, chunk):
     """The profiles after every ``chunk`` steps of the march ``solve`` runs,
     and the final profile."""
     v = phi(cfg.grid())
-    edge = (v[0], v[-1])
     profiles = []
     for done in range(0, cfg.n_steps, chunk):
-        v = _march(v, gp, cfg.dx, cfg.dt, min(chunk, cfg.n_steps - done), edge)
+        v = _march(v, gp, cfg.dx, cfg.dt, min(chunk, cfg.n_steps - done))
         profiles.append(v)
     return profiles
 
@@ -115,11 +114,28 @@ class TestSeparableMarch:
     def test_batch_rows_equal_single_row_marches(self):
         dx = 0.1
         v0 = np.cos(np.linspace(-3.0, 3.0, 61))
-        edge = (v0[0], v0[-1])
         dts = np.array([0.2, 0.5, 0.9]) * cfl_limit(AMB, dx)
-        batch = _march(np.array([v0, v0, v0]), AMB, dx, dts, 100, edge)
+        batch = _march(np.array([v0, v0, v0]), AMB, dx, dts, 100)
         for row, dt in zip(batch, dts):
-            assert np.array_equal(row, _march(v0, AMB, dx, dt, 100, edge))
+            assert np.array_equal(row, _march(v0, AMB, dx, dt, 100))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gp=g_params(),
+        fractions=st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3, unique=True),
+        n_steps=st.integers(1, 60),
+    )
+    def test_any_batch_row_equals_its_one_row_march(self, gp, fractions, n_steps):
+        dx = 0.1
+        xs = np.linspace(-3.0, 3.0, 61)
+        rows = np.array([np.cos(xs + k) + 0.3 * k * xs for k in range(len(fractions))])
+        dts = np.array(fractions) * cfl_limit(gp, dx)
+        batch = _march(rows, gp, dx, dts, n_steps)
+        assert batch.shape == rows.shape
+        for row, v0, dt in zip(batch, rows, dts):
+            single = _march(v0, gp, dx, dt, n_steps)
+            assert single.shape == v0.shape
+            assert np.array_equal(row, single)
 
 
 class TestClosedForms:
@@ -263,6 +279,22 @@ class TestSemigroup:
         d_fine = semigroup_check(AMB, cosine(), 1.0, 1.0, refined(cfg))
         assert d_fine < d_coarse
 
+    @pytest.mark.parametrize(
+        "gp, half, coarse, fine",
+        [
+            (DEG, 7.0, 1.8048326150266192e-05, 4.511565641185378e-06),
+            (AMB, 13.0, 2.1900301217958607e-05, 5.473982970904956e-06),
+        ],
+        ids=["degenerate", "ambiguous"],
+    )
+    def test_suite_discrepancies_are_pinned(self, gp, half, coarse, fine):
+        # the semigroup campaign's four values; the march is exact IEEE
+        # arithmetic, so a rewrite that moves any of them changed the scheme
+        a = b = math.sqrt(0.5)
+        cfg = cfg_for(gp, half)
+        assert semigroup_check(gp, cosine(), a, b, cfg) == coarse
+        assert semigroup_check(gp, cosine(), a, b, refined(cfg)) == fine
+
     def test_budget_validation(self):
         cfg = cfg_for(DEG, 7.0, dx=0.1)
         with pytest.raises(ValidationError):
@@ -285,6 +317,22 @@ class TestConfigAndErrors:
         with pytest.raises(ValidationError):
             SolverConfig(-6.0, 6.0, 0.1, 0.3, 1.0)  # t/dt not integer
 
+    @pytest.mark.parametrize(
+        "dx, dt",
+        [(0.02, 1e-300), (0.02, 5e-324), (1e-320, 1e-3), (1e-6, 1e-3)],
+        ids=["many-steps", "smallest-dt", "smallest-dx", "many-nodes"],
+    )
+    def test_work_cap(self, dx, dt):
+        with pytest.raises(ValidationError, match="the caps are"):
+            SolverConfig(-6.0, 6.0, dx, dt, 1.0)
+
+    def test_stable_dt_for_an_underflowing_bound(self):
+        # no float step is stable, so the config built from it is refused
+        dt = stable_dt(AMB, 1e-300, 1.0)
+        assert dt > 0
+        with pytest.raises(ValidationError, match="the caps are"):
+            SolverConfig(-6.0, 6.0, 1e-300, dt, 1.0)
+
     def test_non_finite_initial_data_aborts(self):
         bad = TestFunction(lambda x: np.where(np.abs(x) > 3, np.nan, x), dim=1)
         with pytest.raises(NumericsError):
@@ -295,6 +343,32 @@ class TestConfigAndErrors:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericsError, match=r"at step 1 \("):
                 solve(DEG, alternating, cfg_for(DEG, 6.0, dx=0.5))
+
+    def test_overflow_in_one_batch_row_aborts(self):
+        xs = np.linspace(-3.0, 3.0, 61)
+        rows = np.array([np.cos(xs), 1.7e308 * (-1.0) ** np.arange(xs.size)])
+        before = rows.copy()
+        dts = np.array([0.5, 0.9]) * cfl_limit(AMB, 0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match=r"at step 1 \("):
+                _march(rows, AMB, 0.1, dts, 20)
+        assert np.array_equal(rows, before)
+
+    def test_names_the_first_non_finite_step(self):
+        # a step far above the CFL bound grows the sawtooth until it overflows
+        v = (-1.0) ** np.arange(61)
+        dt = 50.0 * cfl_limit(DEG, 0.1)
+        first = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:  # one step per march, up to the first that raises
+                try:
+                    v = _march(v, DEG, 0.1, dt, 1)
+                except NumericsError:
+                    break
+                first += 1
+            assert first > 1
+            with pytest.raises(NumericsError, match=rf"at step {first} \("):
+                _march((-1.0) ** np.arange(61), DEG, 0.1, dt, first + 10)
 
     def test_huge_constant_stays_finite(self):
         # the profile's sum overflows, so a sum-based finiteness check would fail here
