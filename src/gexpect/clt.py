@@ -9,20 +9,27 @@ phi(S_n/sqrt(n) + T_n/n) converges to the PDE value at (t=1, x=0).
 ``run_clt`` measures that convergence: the left side via the nested
 backward recursion with step weights (sqrt(delta), delta), delta = 1/n,
 and the right side via the monotone finite-difference solver.
+
+The perturbed builder and the condition checker work on the flat atom
+arrays of the scenario sets (see ``scenarios``): the builder moves the
+atoms of all steps at once, and the checker computes each distinct
+(step, reference) pair once, all pairs in one pass, with per-law sums in
+numpy's reduction order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .functions import TestFunction, coord, coord_abs_power
+from .functions import TestFunction
 from .gfunction import GParams
 from .heat import SolverConfig, solve, value_at
 from .nested import NestedEvalConfig, nested_expect
-from .scenarios import DiscreteDistribution, ScenarioSet, expect, lower_expect
+from .scenarios import DiscreteDistribution, ScenarioSet, canonical_laws, law_sums, stack_sets
 
 EPS_MAX = 0.25
 
@@ -120,24 +127,30 @@ def build_perturbed_family(base: SequenceModel, eps) -> SequenceModel:
     responsible for eps having a vanishing Cesaro average. The canonical
     family passes alternating-sign eps, which makes both perturbations
     alternate and keeps the partial sums of eps bounded (systematic scale
-    inflation would otherwise dominate the desk-scale convergence gap)."""
+    inflation would otherwise dominate the desk-scale convergence gap).
+
+    The atoms of all steps are perturbed as one flat array, and
+    ``canonical_laws`` checks and orders every law in one pass, as
+    ``DiscreteDistribution`` does for one law."""
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (len(base),):
         raise ValidationError(f"eps must have one entry per step ({len(base)})")
     if np.any(np.abs(eps) > EPS_MAX):
         raise ValidationError(f"|eps_i| must be <= {EPS_MAX}")
+    if any(step.dim != 2 for step in base.steps):
+        raise ValidationError("a perturbed family needs 2-d base steps")
+    points, weights, starts, firsts = stack_sets(base.steps)
+    step_atoms = np.diff(starts[firsts], append=weights.size)
+    shift = np.repeat(eps, step_atoms)
+    moved = np.column_stack((points[:, 0] * (1.0 + shift), points[:, 1] + shift))
+    law = np.repeat(np.arange(starts.size), np.diff(starts, append=weights.size))
+    points, weights, starts = canonical_laws(moved, weights, law)
+    bounds = starts.tolist() + [weights.size]
+    laws = firsts + [starts.size]
     steps = []
-    for i, step in enumerate(base.steps):
-        scale_i = 1.0 + eps[i]
-        shift_i = eps[i]
-        dists = []
-        for d in step.dists:
-            atoms = [
-                ((x * scale_i, y + shift_i), w)
-                for (x, y), w in zip(d.points, d.weights)
-            ]
-            dists.append(DiscreteDistribution(atoms))
-        steps.append(ScenarioSet(dists, label=step.label))
+    for step, lo, hi in zip(base.steps, laws, laws[1:]):
+        a, b = bounds[lo], bounds[hi]
+        steps.append(ScenarioSet._flat(points[a:b], weights[a:b], starts[lo:hi] - a, step.label))
     return SequenceModel(
         steps=tuple(steps),
         gp=base.gp,
@@ -146,26 +159,28 @@ def build_perturbed_family(base: SequenceModel, eps) -> SequenceModel:
     )
 
 
-def _coupled_proxies(step: ScenarioSet, ref: ScenarioSet) -> tuple[float, float]:
-    """Comonotone coupling proxies for one step.
-
-    Scenario j of the step is paired with scenario j of the reference, and
-    atoms are paired by index (the canonical atom order keeps signs
-    aligned). The X proxy is the worst-case mean of |X^2 - Xref^2|^2, the Y
-    proxy the worst-case mean of |Y - Yref|^2.
-    """
-    if len(step) != len(ref):
-        raise ValidationError(
-            "comonotone coupling needs matching scenario counts "
-            f"({len(step)} vs {len(ref)})"
-        )
-    dx = dy = 0.0
-    for j, (d, r) in enumerate(zip(step.dists, ref.dists)):
-        if d.n_atoms != r.n_atoms or np.max(np.abs(d.weights - r.weights)) > 1e-12:
-            raise ValidationError(f"scenario {j}: atom structure does not match the reference")
-        dx = max(dx, float(np.dot(d.weights, (d.points[:, 0] ** 2 - r.points[:, 0] ** 2) ** 2)))
-        dy = max(dy, float(np.dot(d.weights, (d.points[:, 1] - r.points[:, 1]) ** 2)))
-    return dx, dy
+def _coupling_mismatch(steps, refs, stacked, ref_stacked) -> str | None:
+    """Why the first (step, reference) pair that cannot be paired scenario by
+    scenario and atom by atom fails, or None if every pair can. ``stacked``
+    and ``ref_stacked`` are the ``stack_sets`` of the steps and references."""
+    if any(s.dim != 2 for s in steps + refs):
+        return "the coupling needs 2-d steps and references"
+    (_, w, starts, firsts), (_, ref_w, ref_starts, _) = stacked, ref_stacked
+    counts, ref_counts = [len(s) for s in steps], [len(r) for r in refs]
+    p = next((p for p, (c, r) in enumerate(zip(counts, ref_counts)) if c != r), len(steps))
+    # scenarios line up up to pair p, and atoms up to the first scenario
+    # whose size differs; a mismatch past either comes after that one
+    laws = firsts[p] if p < len(steps) else starts.size
+    bad = np.diff(starts, append=w.size)[:laws] != np.diff(ref_starts, append=ref_w.size)[:laws]
+    m = min(w.size, ref_w.size)
+    law = np.searchsorted(starts, np.flatnonzero(np.abs(w[:m] - ref_w[:m]) > 1e-12), side="right") - 1
+    bad[law[law < laws]] = True
+    if bad.any():
+        j = int(np.argmax(bad))
+        return f"scenario {j - firsts[bisect_right(firsts, j) - 1]}: atom structure does not match the reference"
+    if p < len(steps):
+        return f"comonotone coupling needs matching scenario counts ({counts[p]} vs {ref_counts[p]})"
+    return None
 
 
 def check_conditions(model: SequenceModel) -> ConditionReport:
@@ -175,29 +190,43 @@ def check_conditions(model: SequenceModel) -> ConditionReport:
     be exactly zero for the shipped builders). The third-moment bound is
     the max over steps of the worst-case third absolute moments of X_i and
     Y_i. The coupling proxies pair each step with its comonotone reference
-    ``model.ref_steps`` (required), and the report carries their running
-    Cesaro averages. The ellipticity floor is sig2_lo.
+    ``model.ref_steps`` (required): scenario j of the step with scenario j
+    of the reference, atom by atom in canonical order (which keeps signs
+    aligned). The X proxy is the worst-case mean of |X^2 - Xref^2|^2, the
+    Y proxy the worst-case mean of |Y - Yref|^2, and the report carries
+    their running Cesaro averages. The ellipticity floor is sig2_lo.
+
+    Each distinct (step, reference) pair is computed once, and all of them
+    at once on their stacked flat atoms.
     """
     if model.ref_steps is None:
         raise ValidationError("check_conditions needs a model with reference steps (ref_steps)")
-    x_fn = coord(0)
-    x_abs3 = coord_abs_power(0, 3.0)
-    y_abs3 = coord_abs_power(1, 3.0)
+    slot: dict = {}  # each distinct (step, reference) pair, in order of first use
+    order = [
+        slot.setdefault((id(s), id(r)), (len(slot), s, r))[0]
+        for s, r in zip(model.steps, model.ref_steps)
+    ]
+    steps = [s for _, s, _ in slot.values()]
+    refs = [r for _, _, r in slot.values()]
+    stacked, ref_stacked = stack_sets(steps), stack_sets(refs)
+    reason = _coupling_mismatch(steps, refs, stacked, ref_stacked)
+    if reason is not None:
+        raise ValidationError(reason)
+    points, weights, starts, firsts = stacked
+    ref_points = ref_stacked[0]
+    x, y = points[:, 0], points[:, 1]
 
-    residuals: list[tuple[float, float]] = []
-    third = 0.0
-    x_proxies: list[float] = []
-    y_proxies: list[float] = []
-    for step, ref in zip(model.steps, model.ref_steps):
-        residuals.append((expect(x_fn, step), lower_expect(x_fn, step)))
-        third = max(third, expect(x_abs3, step), expect(y_abs3, step))
-        dx, dy = _coupled_proxies(step, ref)
-        x_proxies.append(dx)
-        y_proxies.append(dy)
+    def worst(values: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(law_sums(weights, values, starts), firsts)[order]
+
+    upper, lower = worst(x), -worst(-x)
+    third = max(0.0, float(worst(np.abs(x) ** 3.0).max()), float(worst(np.abs(y) ** 3.0).max()))
+    x_proxies = worst((x**2 - ref_points[:, 0] ** 2) ** 2).tolist()
+    y_proxies = worst((y - ref_points[:, 1]) ** 2).tolist()
     cesaro_x = list(np.cumsum(x_proxies) / np.arange(1, len(x_proxies) + 1))
     cesaro_y = list(np.cumsum(y_proxies) / np.arange(1, len(y_proxies) + 1))
     return ConditionReport(
-        mean_residuals=residuals,
+        mean_residuals=list(zip(upper.tolist(), lower.tolist())),
         third_moment_bound=third,
         cesaro_x=cesaro_x,
         cesaro_y=cesaro_y,

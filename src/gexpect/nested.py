@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .functions import TestFunction
-from .scenarios import ScenarioSet
+from .scenarios import ScenarioSet, stack_sets
 
 POLICY_CAP_DEFAULT = 10**6
 GRID_NODE_CAP = 2_000_000
@@ -92,14 +92,17 @@ def _step_weights(n: int, delta: float | None) -> tuple[float, float]:
 
 
 def _increments(steps, wx: float, wy: float):
-    """Increments and weights of all atoms of the steps, flat; per step, its scenarios' slices."""
-    dists = [d for step in steps for d in step.dists]
-    x = np.concatenate([d.points[:, 0] for d in dists])
-    y = np.concatenate([d.points[:, 1] if d.dim == 2 else np.zeros(d.n_atoms) for d in dists])
-    ends = np.cumsum([d.n_atoms for d in dists]).tolist()
-    cuts = iter(map(slice, [0] + ends, ends))  # each step takes its scenarios' slices in turn
-    scenarios = [[next(cuts) for _ in step.dists] for step in steps]
-    return wx * x + wy * y, np.concatenate([d.weights for d in dists]), scenarios
+    """Increments and weights of all atoms of the steps, flat, with each scenario's first atom
+    and each step's first scenario (``stack_sets``)."""
+    points, w, starts, firsts = stack_sets(steps)
+    y = points[:, 1] if points.shape[1] == 2 else 0.0
+    return wx * points[:, 0] + wy * y, w, starts, firsts
+
+
+def _per_step(per_scenario: list, firsts: list[int]) -> list:
+    """A per-scenario list, cut into one list per step."""
+    laws = firsts + [len(per_scenario)]
+    return [per_scenario[a:b] for a, b in zip(laws, laws[1:])]
 
 
 def _float_gcd(a: float, b: float, tol: float) -> float:
@@ -128,19 +131,23 @@ def _lattice_spacing(flat: np.ndarray) -> float:
     return g
 
 
-def _stencils(inc, w, scenarios, h: float, exact: bool, num: int):
-    """Per step and scenario, its (offset, coefficient) terms on a num-node grid of spacing h, and
-    the largest |offset| read. Offsets are clipped to [-num, num - 1]; past that, all read an edge."""
+def _stencils(inc, w, starts, h: float, exact: bool, num: int):
+    """Per scenario, its (offset, coefficient) terms on a num-node grid of spacing h, and the
+    largest |offset| read: the lower term of each atom, then the nonzero upper terms. Offsets
+    are clipped to [-num, num - 1]; past that, all read an edge."""
     u = inc / h
     k = np.round(u) if exact else np.floor(u)
     f = 0.0 if exact else u - k
     k = np.clip(k, -num, num - 1)
-    ks, c0, c1 = k.astype(np.int64).tolist(), (w * (1.0 - f)).tolist(), (w * f).tolist()
-    stencils = [
-        [list(zip(ks[at], c0[at])) + [(o + 1, c) for o, c in zip(ks[at], c1[at]) if c] for at in cuts]
-        for cuts in scenarios
-    ]
-    return stencils, int(np.abs(k).max()) + 1
+    ks, upper = k.astype(np.int64), w * f
+    law = np.repeat(np.arange(starts.size), np.diff(starts, append=inc.size))
+    key = np.concatenate((2 * law, 2 * law + 1))  # a scenario's lower terms, then its upper ones
+    order = np.argsort(key, kind="stable")
+    order = order[np.concatenate((np.ones(inc.size, dtype=bool), upper != 0))[order]]
+    offsets = np.concatenate((ks, ks + 1))[order].tolist()
+    terms = list(zip(offsets, np.concatenate((w * (1.0 - f), upper))[order].tolist()))
+    ends = np.cumsum(np.bincount(key[order] // 2, minlength=starts.size)).tolist()
+    return [terms[a:b] for a, b in zip([0] + ends, ends)], int(np.abs(k).max()) + 1
 
 
 def _march(values: np.ndarray, stencils, pad: int) -> np.ndarray:
@@ -185,9 +192,9 @@ def nested_expect(
     wx, wy = _step_weights(n, delta)
     slot = {}  # each distinct step object's position, in order of first use
     order = [slot.setdefault(id(step), len(slot)) for step in steps]
-    inc, w, scenarios = _increments(list({id(step): step for step in steps}.values()), wx, wy)
-    starts = [cuts[0].start for cuts in scenarios]
-    step_lo, step_hi = np.minimum.reduceat(inc, starts)[order], np.maximum.reduceat(inc, starts)[order]
+    inc, w, starts, firsts = _increments(list({id(step): step for step in steps}.values()), wx, wy)
+    at = starts[firsts]  # each distinct step's first atom
+    step_lo, step_hi = np.minimum.reduceat(inc, at)[order], np.maximum.reduceat(inc, at)[order]
     exact = cfg.mode == "exact_lattice"
     if exact:
         h = _lattice_spacing(inc)
@@ -211,7 +218,8 @@ def nested_expect(
             )
         xs = np.linspace(lo, hi, int(num))
         h = (hi - lo) / (num - 1)
-    stencils, pad = _stencils(inc, w, scenarios, h, exact, xs.size)
+    stencils, pad = _stencils(inc, w, starts, h, exact, xs.size)
+    stencils = _per_step(stencils, firsts)
     values = _march(phi_of_sum(xs), [stencils[j] for j in order], pad)
     return float(np.interp(0.0, xs, values))  # at a node in exact mode: that node's value
 
@@ -248,7 +256,9 @@ def bruteforce_nested(
     if n_policies > cap:
         raise ValidationError(f"policy count {n_policies} exceeds cap {cap}")
     wx, wy = _step_weights(n, delta)
-    inc, wts, scenarios = _increments(steps[:n], wx, wy)
+    inc, wts, starts, firsts = _increments(steps[:n], wx, wy)
+    bounds = starts.tolist() + [inc.size]
+    scenarios = _per_step(list(map(slice, bounds, bounds[1:])), firsts)
 
     def policy_values(s: float, i: int) -> np.ndarray:
         if i == n:

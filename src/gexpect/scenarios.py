@@ -10,9 +10,20 @@ preserving, sub-additive, and positively homogeneous. ``verify_axioms``
 certifies those four properties numerically on supplied test functions,
 and ``holder_check`` certifies the Hoelder and Lyapunov inequalities for
 two-dimensional sets.
+
+Storage: a set keeps its laws as flat arrays, ``points`` (A, dim) and
+``weights`` (A,) holding the atoms of every law in turn, and ``starts``,
+the index of each law's first atom. ``expect`` evaluates a function once
+on all points and takes every law's sum with ``law_sums``, the one sum
+helper every caller shares. Its sums run in numpy's reduction order, which
+is the same on every CPU, not in the order of BLAS ``ddot``, which is not.
+``canonical_laws`` validates laws given as flat atoms and puts them in
+canonical order, for one law or for many at once.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,6 +31,48 @@ from .errors import Report, ValidationError
 from .functions import TestFunction, abs_product, add, coord_abs_power, negate, scale
 
 WEIGHT_SUM_TOL = 1e-12
+
+
+def law_sums(weights: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per law, the sum of weight * value over its atoms; law k owns the
+    flat atoms from ``starts[k]`` up to the next law's start."""
+    return np.add.reduceat(weights * values, starts)
+
+
+def _heads(differs: np.ndarray) -> np.ndarray:
+    """Index of the first item of each run, where ``differs[i]`` says item i + 1 starts one."""
+    return np.flatnonzero(np.concatenate(([True], differs)))
+
+
+def canonical_laws(points: np.ndarray, weights: np.ndarray, law: np.ndarray):
+    """Validate laws given as flat atoms and put each in canonical order.
+
+    ``law`` is the nondecreasing law index of each atom. Weights must be
+    finite and >= 0, each law's must sum to 1 within ``WEIGHT_SUM_TOL``,
+    and points must be finite. One stable sort keyed by law, then by point,
+    orders the atoms; exact duplicate points of a law are merged, their
+    weights summed left to right. Returns ``(points, weights, starts)``.
+    """
+    if not np.isfinite(weights).all() or (weights < 0).any():
+        raise ValidationError("weights must be finite and >= 0")
+    totals = np.add.reduceat(weights, _heads(law[1:] != law[:-1]))
+    bad = np.flatnonzero(np.abs(totals - 1.0) > WEIGHT_SUM_TOL)
+    if bad.size:
+        raise ValidationError(
+            f"weights sum to {float(totals[bad[0]])!r}, expected 1 within {WEIGHT_SUM_TOL}"
+        )
+    if not np.isfinite(points).all():
+        raise ValidationError("atom points must be finite")
+    order = np.lexsort((*points.T[::-1], law))
+    points, weights, law = points[order], weights[order], law[order]
+    first = _heads((law[1:] != law[:-1]) | (points[1:] != points[:-1]).any(axis=1))
+    merged = weights[first]
+    runs = np.diff(first, append=weights.size)
+    for k in range(1, int(runs.max())):  # the k-th duplicate of every run, in turn
+        live = runs > k
+        merged[live] += weights[first[live] + k]
+    law = law[first]
+    return points[first], merged, _heads(law[1:] != law[:-1])
 
 
 class DiscreteDistribution:
@@ -47,28 +100,16 @@ class DiscreteDistribution:
         for i, p in enumerate(pts):
             if p.size != dim:
                 raise ValidationError(f"atom {i}: dimension {p.size} != {dim}")
-        weights = np.asarray(wts, dtype=float)
-        if not np.isfinite(weights).all() or (weights < 0).any():
-            raise ValidationError("weights must be finite and >= 0")
-        total = float(weights.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
-        points = np.vstack(pts)
-        if not np.isfinite(points).all():
-            raise ValidationError("atom points must be finite")
-        # canonical order, then merge exact duplicates
-        order = np.lexsort(points.T[::-1])
-        points, weights = points[order], weights[order]
-        keep_pts: list[np.ndarray] = []
-        keep_wts: list[float] = []
-        for p, w in zip(points, weights):
-            if keep_pts and np.array_equal(keep_pts[-1], p):
-                keep_wts[-1] += w
-            else:
-                keep_pts.append(p)
-                keep_wts.append(w)
-        self.points = np.vstack(keep_pts)
-        self.weights = np.asarray(keep_wts, dtype=float)
+        self.points, self.weights, _ = canonical_laws(
+            np.vstack(pts), np.asarray(wts, dtype=float), np.zeros(len(wts), dtype=np.intp)
+        )
+
+    @classmethod
+    def _of(cls, points: np.ndarray, weights: np.ndarray) -> "DiscreteDistribution":
+        """A law over atoms that are already canonical (no copy, no checks)."""
+        d = cls.__new__(cls)
+        d.points, d.weights = points, weights
+        return d
 
     @property
     def dim(self) -> int:
@@ -87,19 +128,19 @@ class DiscreteDistribution:
         """Fair two-point law on {-magnitude, +magnitude} (1-d)."""
         return cls([(magnitude, 0.5), (-magnitude, 0.5)])
 
-    def expectation(self, f: TestFunction) -> float:
-        if f.dim != self.dim:
-            raise ValidationError(f"function dimension {f.dim} != distribution dimension {self.dim}")
-        return float(np.dot(self.weights, f.on_points(self.points)))
-
     def __repr__(self) -> str:
         return f"DiscreteDistribution({self.n_atoms} atoms, dim={self.dim})"
 
 
 class ScenarioSet:
-    """A nonempty family of discrete laws of equal dimension."""
+    """A nonempty family of discrete laws of equal dimension, stored flat.
 
-    __slots__ = ("dists", "label")
+    ``points`` (A, dim) and ``weights`` (A,) hold the atoms of every law in
+    turn, and law k owns the atoms from ``starts[k]`` up to the next law's
+    start. ``dists`` gives the laws as ``DiscreteDistribution`` views.
+    """
+
+    __slots__ = ("points", "weights", "starts", "label")
 
     def __init__(self, dists, label: str = "") -> None:
         dists = tuple(dists)
@@ -109,33 +150,64 @@ class ScenarioSet:
         for i, d in enumerate(dists):
             if d.dim != dim:
                 raise ValidationError(f"distribution {i} has dimension {d.dim}, expected {dim}")
-        self.dists = dists
+        self.points = np.concatenate([d.points for d in dists])
+        self.weights = np.concatenate([d.weights for d in dists])
+        self.starts = np.array(list(accumulate([d.n_atoms for d in dists[:-1]], initial=0)))
         self.label = label
+
+    @classmethod
+    def _flat(cls, points, weights, starts, label: str = "") -> "ScenarioSet":
+        """A set over flat atoms whose laws are already canonical."""
+        s = cls.__new__(cls)
+        s.points, s.weights, s.starts, s.label = points, weights, starts, label
+        return s
 
     @property
     def dim(self) -> int:
-        return self.dists[0].dim
+        return self.points.shape[1]
+
+    @property
+    def dists(self) -> tuple[DiscreteDistribution, ...]:
+        cuts = self.starts[1:]
+        return tuple(
+            map(DiscreteDistribution._of, np.split(self.points, cuts), np.split(self.weights, cuts))
+        )
 
     def __len__(self) -> int:
-        return len(self.dists)
+        return self.starts.size
 
     def __iter__(self):
         return iter(self.dists)
 
     def atom_union(self) -> np.ndarray:
-        """All atom points across the family, stacked into one (n, dim) array."""
-        return np.vstack([d.points for d in self.dists])
+        """All atom points across the family, as one (A, dim) array."""
+        return self.points
 
     def __repr__(self) -> str:
         lbl = f" {self.label!r}" if self.label else ""
-        return f"ScenarioSet({len(self.dists)} dists, dim={self.dim}{lbl})"
+        return f"ScenarioSet({len(self)} dists, dim={self.dim}{lbl})"
+
+
+def stack_sets(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The flat atoms of several sets in turn: ``(points, weights, starts,
+    firsts)``, where ``starts`` indexes each law's first atom and the list
+    ``firsts`` each set's first law. Points of lower dimension get zero
+    coordinates."""
+    dim = max(s.dim for s in sets)
+    points = np.concatenate(
+        [s.points if s.dim == dim else np.pad(s.points, ((0, 0), (0, dim - s.dim))) for s in sets]
+    )
+    laws = [len(s) for s in sets]
+    atoms = list(accumulate([s.weights.size for s in sets[:-1]], initial=0))
+    starts = np.concatenate([s.starts for s in sets]) + np.repeat(atoms, laws)
+    return points, np.concatenate([s.weights for s in sets]), starts, list(accumulate(laws[:-1], initial=0))
 
 
 def expect(phi: TestFunction, s: ScenarioSet) -> float:
     """Upper expectation: max over the family of the classical expectation."""
     if phi.dim != s.dim:
         raise ValidationError(f"function dimension {phi.dim} != scenario dimension {s.dim}")
-    return max(d.expectation(phi) for d in s.dists)
+    return float(law_sums(s.weights, phi.on_points(s.points), s.starts).max())
 
 
 def lower_expect(phi: TestFunction, s: ScenarioSet) -> float:

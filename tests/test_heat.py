@@ -1,6 +1,7 @@
 """Monotone explicit solver: closed forms, structure, composition identity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gexpect import (
     value_at,
 )
 from gexpect.functions import add, const, cosine, ramp
-from gexpect.heat import _march
+from gexpect.heat import _aligned, _march
 from gexpect.io import parse_solver_config
 
 DEG = GParams(0.0, 0.0, 1.0, 1.0)
@@ -337,6 +338,27 @@ class TestConfigAndErrors:
         bad = TestFunction(lambda x: np.where(np.abs(x) > 3, np.nan, x), dim=1)
         with pytest.raises(NumericsError):
             solve(DEG, bad, cfg_for(DEG, 6.0, dx=0.5))
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.5, 0.5)], ids=["no-leg", "two-legs"])
+    def test_semigroup_refuses_non_finite_initial_data(self, a, b):
+        # with a = b = 0 no leg marches, so only the check on phi can see the NaN
+        bad = TestFunction(lambda x: np.where(np.abs(x) > 3, np.nan, x), dim=1)
+        with pytest.raises(NumericsError, match="^initial data is not finite on the grid$"):
+            semigroup_check(DEG, bad, a, b, cfg_for(DEG, 6.0, dx=0.5))
+
+    def test_batch_error_names_the_step_and_each_row_time(self):
+        xs = np.linspace(-6.0, 6.0, 25)
+        phi = np.where(np.abs(xs) > 3, np.nan, np.cos(xs))
+        dts = np.array([0.25, 0.5]) * cfl_limit(AMB, 0.5)
+        t1, t2 = (float(dt) for dt in dts)
+        message = f"non-finite values at step 1 (t={t1!r}, {t2!r}); aborting"
+        with pytest.raises(NumericsError, match=f"^{re.escape(message)}$"):
+            _march(np.array([phi, phi]), AMB, 0.5, dts, 3)
+
+    def test_march_buffers_start_on_64_byte_boundaries(self):
+        for shape in [(7,), (1251,), (1249, 2), (3, 5)]:
+            buf = _aligned(shape)
+            assert buf.shape == shape and buf.ctypes.data % 64 == 0
 
     def test_overflow_mid_march_aborts(self):
         alternating = TestFunction(lambda x: 1.7e308 * (-1.0) ** np.arange(x.size), dim=1)

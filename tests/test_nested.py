@@ -21,7 +21,7 @@ from gexpect import (
 from gexpect.clt import build_iid_family
 from gexpect.functions import ramp, square
 from gexpect.io import load_preset
-from gexpect.nested import GRID_NODE_CAP, NestedEvalConfig
+from gexpect.nested import GRID_NODE_CAP, NestedEvalConfig, _increments, _per_step, _stencils
 from gexpect.verify import random_lattice_model
 
 LATTICE = NestedEvalConfig(mode="exact_lattice")
@@ -203,6 +203,36 @@ def test_grid_interp_matches_interp_reference(model, edge, cover, a, b):
             nested_expect(phi, steps, n, cfg, delta=delta)
         return
     assert nested_expect(phi, steps, n, cfg, delta=delta) == pytest.approx(want, abs=1e-12)
+
+
+def reference_stencils(steps, wx, wy, h, exact, num):
+    """Per step and scenario, its terms built one law at a time: each atom's
+    lower term, then the nonzero upper terms, in atom order."""
+    out = []
+    for step in steps:
+        laws = []
+        for d in step.dists:
+            y = d.points[:, 1] if d.dim == 2 else 0.0
+            u = (wx * d.points[:, 0] + wy * y) / h
+            k = np.round(u) if exact else np.floor(u)
+            f = 0.0 if exact else u - k
+            k = np.clip(k, -num, num - 1).astype(np.int64).tolist()
+            lower, upper = (d.weights * (1.0 - f)).tolist(), (d.weights * f).tolist()
+            laws.append(list(zip(k, lower)) + [(o + 1, c) for o, c in zip(k, upper) if c])
+        out.append(laws)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=grid_models(), exact=st.booleans())
+def test_flat_stencils_match_the_per_law_terms(model, exact):
+    """Term for term, so the march sums the same products in the same order."""
+    steps, n, _, (lo, hi, num) = model
+    distinct = list({id(s): s for s in steps}.values())
+    h = (hi - lo) / (num - 1)
+    inc, w, starts, firsts = _increments(distinct, 0.5, 0.25)
+    stencils, _ = _stencils(inc, w, starts, h, exact, num)
+    assert _per_step(stencils, firsts) == reference_stencils(distinct, 0.5, 0.25, h, exact, num)
 
 
 def test_exact_lattice_g_ambiguous_n256():

@@ -28,6 +28,7 @@ from gexpect.functions import (
     scale,
     square,
 )
+from gexpect.scenarios import canonical_laws
 
 AXIOM_TOL = 1e-10
 
@@ -263,3 +264,53 @@ def test_envelope_properties_hypothesis(s, slope, lam):
     assert lower_expect(f, s) <= expect(f, s) + 1e-12
     assert expect(add(f, g), s) <= expect(f, s) + expect(g, s) + AXIOM_TOL
     assert expect(scale(f, lam), s) == pytest.approx(lam * expect(f, s), abs=AXIOM_TOL)
+
+
+@st.composite
+def random_sets(draw, dim):
+    """Sets of 1-4 laws with 1-6 atoms each, random points and weights."""
+    dists = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 6))
+        pts = draw(st.lists(st.tuples(*[st.floats(-5, 5)] * dim), min_size=k, max_size=k))
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+        total = sum(raw)
+        dists.append(DiscreteDistribution([(p, w / total) for p, w in zip(pts, raw)]))
+    return ScenarioSet(dists)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(random_sets))
+def test_expect_matches_the_per_law_dot_product(s):
+    """The flat per-law sums agree with the per-law definition sum_k w_k f(p_k)
+    (BLAS ``np.dot``) to 1e-14 of the sum of |w_k f(p_k)|."""
+    f = TestFunction(lambda *cs: np.cos(cs[0]) + cs[-1] ** 3, dim=s.dim)
+    per_law = [
+        (float(np.dot(d.weights, f.on_points(d.points))), float(np.abs(d.weights * f.on_points(d.points)).sum()))
+        for d in s.dists
+    ]
+    best, scale = max(per_law)
+    assert abs(expect(f, s) - best) <= 1e-14 * scale
+    assert abs(lower_expect(f, s) - min(per_law)[0]) <= 1e-14 * min(per_law)[1]
+
+
+def test_set_stores_its_laws_flat():
+    d1 = DiscreteDistribution([((1.0, 2.0), 0.25), ((-1.0, 0.0), 0.75)])
+    d2 = DiscreteDistribution.point_mass((3.0, 3.0))
+    s = ScenarioSet([d1, d2, d1])
+    assert s.points.tolist() == [[-1.0, 0.0], [1.0, 2.0], [3.0, 3.0], [-1.0, 0.0], [1.0, 2.0]]
+    assert s.weights.tolist() == [0.75, 0.25, 1.0, 0.75, 0.25]
+    assert s.starts.tolist() == [0, 2, 3]
+    assert s.atom_union() is s.points
+    assert len(s) == 3
+    for got, want in zip(s.dists, [d1, d2, d1]):
+        assert np.array_equal(got.points, want.points) and np.array_equal(got.weights, want.weights)
+
+
+def test_canonical_laws_sorts_and_merges_each_law_on_its_own():
+    points = np.array([[2.0], [1.0], [2.0], [0.5], [0.5], [0.5]])
+    weights = np.array([0.25, 0.5, 0.25, 0.1, 0.2, 0.7])
+    pts, wts, starts = canonical_laws(points, weights, np.array([0, 0, 0, 1, 1, 1]))
+    assert pts[:, 0].tolist() == [1.0, 2.0, 0.5]
+    assert wts.tolist() == [0.5, 0.5, (0.1 + 0.2) + 0.7]  # summed left to right
+    assert starts.tolist() == [0, 2]
