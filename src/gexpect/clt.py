@@ -19,7 +19,6 @@ numpy's reduction order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,7 +141,8 @@ def build_perturbed_family(base: SequenceModel, eps) -> SequenceModel:
     points, weights, starts, firsts = stack_sets(base.steps)
     step_atoms = np.diff(starts[firsts], append=weights.size)
     shift = np.repeat(eps, step_atoms)
-    moved = np.column_stack((points[:, 0] * (1.0 + shift), points[:, 1] + shift))
+    with np.errstate(over="ignore", invalid="ignore"):  # canonical_laws refuses what overflows
+        moved = np.column_stack((points[:, 0] * (1.0 + shift), points[:, 1] + shift))
     law = np.repeat(np.arange(starts.size), np.diff(starts, append=weights.size))
     points, weights, starts = canonical_laws(moved, weights, law)
     bounds = starts.tolist() + [weights.size]
@@ -159,27 +159,19 @@ def build_perturbed_family(base: SequenceModel, eps) -> SequenceModel:
     )
 
 
-def _coupling_mismatch(steps, refs, stacked, ref_stacked) -> str | None:
+def _coupling_mismatch(steps, refs) -> str | None:
     """Why the first (step, reference) pair that cannot be paired scenario by
-    scenario and atom by atom fails, or None if every pair can. ``stacked``
-    and ``ref_stacked`` are the ``stack_sets`` of the steps and references."""
+    scenario and atom by atom fails, or None if every pair can."""
     if any(s.dim != 2 for s in steps + refs):
         return "the coupling needs 2-d steps and references"
-    (_, w, starts, firsts), (_, ref_w, ref_starts, _) = stacked, ref_stacked
-    counts, ref_counts = [len(s) for s in steps], [len(r) for r in refs]
-    p = next((p for p, (c, r) in enumerate(zip(counts, ref_counts)) if c != r), len(steps))
-    # scenarios line up up to pair p, and atoms up to the first scenario
-    # whose size differs; a mismatch past either comes after that one
-    laws = firsts[p] if p < len(steps) else starts.size
-    bad = np.diff(starts, append=w.size)[:laws] != np.diff(ref_starts, append=ref_w.size)[:laws]
-    m = min(w.size, ref_w.size)
-    law = np.searchsorted(starts, np.flatnonzero(np.abs(w[:m] - ref_w[:m]) > 1e-12), side="right") - 1
-    bad[law[law < laws]] = True
-    if bad.any():
-        j = int(np.argmax(bad))
-        return f"scenario {j - firsts[bisect_right(firsts, j) - 1]}: atom structure does not match the reference"
-    if p < len(steps):
-        return f"comonotone coupling needs matching scenario counts ({counts[p]} vs {ref_counts[p]})"
+    for step, ref in zip(steps, refs):
+        if len(step) != len(ref):
+            return f"comonotone coupling needs matching scenario counts ({len(step)} vs {len(ref)})"
+        if np.array_equal(step.starts, ref.starts) and np.array_equal(step.weights, ref.weights):
+            continue  # every scenario pairs up
+        for j, (d, r) in enumerate(zip(step.dists, ref.dists)):
+            if d.n_atoms != r.n_atoms or np.max(np.abs(d.weights - r.weights)) > 1e-12:
+                return f"scenario {j}: atom structure does not match the reference"
     return None
 
 
@@ -208,12 +200,11 @@ def check_conditions(model: SequenceModel) -> ConditionReport:
     ]
     steps = [s for _, s, _ in slot.values()]
     refs = [r for _, _, r in slot.values()]
-    stacked, ref_stacked = stack_sets(steps), stack_sets(refs)
-    reason = _coupling_mismatch(steps, refs, stacked, ref_stacked)
+    reason = _coupling_mismatch(steps, refs)
     if reason is not None:
         raise ValidationError(reason)
-    points, weights, starts, firsts = stacked
-    ref_points = ref_stacked[0]
+    points, weights, starts, firsts = stack_sets(steps)
+    ref_points = ScenarioSet(refs).points
     x, y = points[:, 0], points[:, 1]
 
     def worst(values: np.ndarray) -> np.ndarray:

@@ -211,16 +211,17 @@ def _advance(
     diffusion = [(per_row(0.5 * s2 / (dx * dx)), d2) for s2 in s2s]
     qs = sorted({gp.mu_lo, gp.mu_hi})
     drift = [] if qs == [0.0] else [(per_row(q / dx), fwd if q >= 0 else bwd) for q in qs]
-    for m in range(n_steps):
-        np.subtract(upper, lower, out=dd)
-        np.subtract(fwd, bwd, out=d2)
-        _max_of_products(diffusion, inc, term)
-        if drift:
-            np.add(inc, _max_of_products(drift, term, term2), out=inc)
-        np.add(inner, inc, out=inner)
-        if check_each and not np.isfinite(nodes).all():
-            times = ", ".join(repr((m + 1) * float(d)) for d in dts)
-            raise NumericsError(f"non-finite values at step {m + 1} (t={times}); aborting")
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite nodes raise NumericsError
+        for m in range(n_steps):
+            np.subtract(upper, lower, out=dd)
+            np.subtract(fwd, bwd, out=d2)
+            _max_of_products(diffusion, inc, term)
+            if drift:
+                np.add(inc, _max_of_products(drift, term, term2), out=inc)
+            np.add(inner, inc, out=inner)
+            if check_each and not np.isfinite(nodes).all():
+                times = ", ".join(repr((m + 1) * float(d)) for d in dts)
+                raise NumericsError(f"non-finite values at step {m + 1} (t={times}); aborting")
     return nodes.reshape(v.shape) if batch == 1 else np.ascontiguousarray(nodes.T)
 
 

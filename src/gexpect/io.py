@@ -123,13 +123,10 @@ def parse_scenario_set(obj: dict, where: str) -> ScenarioSet:
     if not isinstance(dists_raw, list) or not dists_raw:
         raise ValidationError(f"{where}: 'dists' must be a nonempty list")
     dists = [parse_distribution(d, f"{where}.dists[{j}]") for j, d in enumerate(dists_raw)]
-    dim = dists[0].dim
-    for j, d in enumerate(dists):
-        if d.dim != dim:
-            raise ValidationError(
-                f"{where}: distribution {j} has dimension {d.dim}, expected {dim}"
-            )
-    return ScenarioSet(dists, label=str(obj.get("label", "")))
+    try:
+        return ScenarioSet(dists, label=str(obj.get("label", "")))
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def load_steps_document(doc: dict) -> tuple[list[ScenarioSet], str]:

@@ -1,6 +1,8 @@
 """Finitely supported laws, scenario sets, and upper expectations.
 
-A scenario set is a finite, nonempty family of discrete probability laws.
+A scenario set is a finite, nonempty family of discrete probability laws,
+and a classical law (``DiscreteDistribution``) is the set with one member.
+``ScenarioSet(sets)`` is the union of the laws of the sets it is given.
 Its upper envelope
 
     E_sup[f] = max over laws d of sum_atoms weight * f(point)
@@ -75,16 +77,74 @@ def canonical_laws(points: np.ndarray, weights: np.ndarray, law: np.ndarray):
     return points[first], merged, _heads(law[1:] != law[:-1])
 
 
-class DiscreteDistribution:
-    """A finitely supported law on R^k, k in {1, 2}.
+class ScenarioSet:
+    """A nonempty family of discrete laws of equal dimension, stored flat.
+
+    ``ScenarioSet(sets)`` is the union of the laws of the sets it is given,
+    in turn, whether each is a single law (``DiscreteDistribution``) or a
+    family. ``points`` (A, dim) and ``weights`` (A,) hold the atoms of every
+    law in turn, and law k owns the atoms from ``starts[k]`` up to the next
+    law's start. ``dists`` gives the laws as one-law views.
+    """
+
+    __slots__ = ("points", "weights", "starts", "label")
+
+    def __init__(self, sets, label: str = "") -> None:
+        sets = tuple(sets)
+        if not sets:
+            raise ValidationError("scenario set must contain at least one distribution")
+        dim = sets[0].dim
+        for i, s in enumerate(sets):
+            if s.dim != dim:
+                raise ValidationError(f"distribution {i} has dimension {s.dim}, expected {dim}")
+        offsets = list(accumulate([s.n_atoms for s in sets[:-1]], initial=0))
+        self.points = np.concatenate([s.points for s in sets])
+        self.weights = np.concatenate([s.weights for s in sets])
+        self.starts = np.concatenate([s.starts for s in sets]) + np.repeat(offsets, list(map(len, sets)))
+        self.label = label
+
+    @classmethod
+    def _flat(cls, points, weights, starts, label: str = "") -> "ScenarioSet":
+        """A set over flat atoms whose laws are already canonical."""
+        s = cls.__new__(cls)
+        s.points, s.weights, s.starts, s.label = points, weights, starts, label
+        return s
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
+    @property
+    def n_atoms(self) -> int:
+        return self.weights.size
+
+    @property
+    def dists(self) -> tuple["DiscreteDistribution", ...]:
+        cuts, first = self.starts[1:], np.zeros(1, dtype=np.intp)
+        return tuple(
+            DiscreteDistribution._flat(p, w, first)
+            for p, w in zip(np.split(self.points, cuts), np.split(self.weights, cuts))
+        )
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    def __iter__(self):
+        return iter(self.dists)
+
+    def __repr__(self) -> str:
+        lbl = f" {self.label!r}" if self.label else ""
+        return f"ScenarioSet({len(self)} dists, dim={self.dim}{lbl})"
+
+
+class DiscreteDistribution(ScenarioSet):
+    """A finitely supported law on R^k, k in {1, 2}: a scenario set of one law.
 
     ``atoms`` is a sequence of ``(point, weight)`` pairs; 1-d points may be
     plain floats. Atoms are canonically sorted by point; exact duplicate
     points are merged (weights summed), so points end up pairwise distinct.
     Points must be finite; weights must be >= 0 and sum to 1 within 1e-12.
     """
-
-    __slots__ = ("points", "weights")
 
     def __init__(self, atoms) -> None:
         pts, wts = [], []
@@ -100,24 +160,10 @@ class DiscreteDistribution:
         for i, p in enumerate(pts):
             if p.size != dim:
                 raise ValidationError(f"atom {i}: dimension {p.size} != {dim}")
-        self.points, self.weights, _ = canonical_laws(
+        self.points, self.weights, self.starts = canonical_laws(
             np.vstack(pts), np.asarray(wts, dtype=float), np.zeros(len(wts), dtype=np.intp)
         )
-
-    @classmethod
-    def _of(cls, points: np.ndarray, weights: np.ndarray) -> "DiscreteDistribution":
-        """A law over atoms that are already canonical (no copy, no checks)."""
-        d = cls.__new__(cls)
-        d.points, d.weights = points, weights
-        return d
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def n_atoms(self) -> int:
-        return self.points.shape[0]
+        self.label = ""
 
     @classmethod
     def point_mass(cls, point) -> "DiscreteDistribution":
@@ -132,75 +178,13 @@ class DiscreteDistribution:
         return f"DiscreteDistribution({self.n_atoms} atoms, dim={self.dim})"
 
 
-class ScenarioSet:
-    """A nonempty family of discrete laws of equal dimension, stored flat.
-
-    ``points`` (A, dim) and ``weights`` (A,) hold the atoms of every law in
-    turn, and law k owns the atoms from ``starts[k]`` up to the next law's
-    start. ``dists`` gives the laws as ``DiscreteDistribution`` views.
-    """
-
-    __slots__ = ("points", "weights", "starts", "label")
-
-    def __init__(self, dists, label: str = "") -> None:
-        dists = tuple(dists)
-        if not dists:
-            raise ValidationError("scenario set must contain at least one distribution")
-        dim = dists[0].dim
-        for i, d in enumerate(dists):
-            if d.dim != dim:
-                raise ValidationError(f"distribution {i} has dimension {d.dim}, expected {dim}")
-        self.points = np.concatenate([d.points for d in dists])
-        self.weights = np.concatenate([d.weights for d in dists])
-        self.starts = np.array(list(accumulate([d.n_atoms for d in dists[:-1]], initial=0)))
-        self.label = label
-
-    @classmethod
-    def _flat(cls, points, weights, starts, label: str = "") -> "ScenarioSet":
-        """A set over flat atoms whose laws are already canonical."""
-        s = cls.__new__(cls)
-        s.points, s.weights, s.starts, s.label = points, weights, starts, label
-        return s
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def dists(self) -> tuple[DiscreteDistribution, ...]:
-        cuts = self.starts[1:]
-        return tuple(
-            map(DiscreteDistribution._of, np.split(self.points, cuts), np.split(self.weights, cuts))
-        )
-
-    def __len__(self) -> int:
-        return self.starts.size
-
-    def __iter__(self):
-        return iter(self.dists)
-
-    def atom_union(self) -> np.ndarray:
-        """All atom points across the family, as one (A, dim) array."""
-        return self.points
-
-    def __repr__(self) -> str:
-        lbl = f" {self.label!r}" if self.label else ""
-        return f"ScenarioSet({len(self)} dists, dim={self.dim}{lbl})"
-
-
 def stack_sets(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """The flat atoms of several sets in turn: ``(points, weights, starts,
-    firsts)``, where ``starts`` indexes each law's first atom and the list
-    ``firsts`` each set's first law. Points of lower dimension get zero
-    coordinates."""
-    dim = max(s.dim for s in sets)
-    points = np.concatenate(
-        [s.points if s.dim == dim else np.pad(s.points, ((0, 0), (0, dim - s.dim))) for s in sets]
-    )
-    laws = [len(s) for s in sets]
-    atoms = list(accumulate([s.weights.size for s in sets[:-1]], initial=0))
-    starts = np.concatenate([s.starts for s in sets]) + np.repeat(atoms, laws)
-    return points, np.concatenate([s.weights for s in sets]), starts, list(accumulate(laws[:-1], initial=0))
+    """The flat atoms of the union of several sets: ``(points, weights,
+    starts, firsts)``, where ``starts`` indexes each law's first atom and
+    the list ``firsts`` each set's first law."""
+    union = ScenarioSet(sets)
+    firsts = list(accumulate([len(s) for s in sets[:-1]], initial=0))
+    return union.points, union.weights, union.starts, firsts
 
 
 def expect(phi: TestFunction, s: ScenarioSet) -> float:
@@ -235,8 +219,7 @@ def verify_axioms(s: ScenarioSet, fns, tol: float) -> dict[str, Report]:
     fns = list(fns)
     if not fns:
         raise ValidationError("need at least one test function")
-    union = s.atom_union()
-    vals = [f.on_points(union) for f in fns]
+    vals = [f.on_points(s.points) for f in fns]
     ups = [expect(f, s) for f in fns]
     names = [f.name or str(i) for i, f in enumerate(fns)]
     mono, cpres, sub, homog = reports = [Report(name) for name in _AXIOMS]

@@ -78,7 +78,7 @@ class TestExpect:
         }
         rc = main(["expect", "x2", "--config", write(tmp_path, "m.json", doc)])
         assert rc == 2
-        assert "distribution 1" in capsys.readouterr().out
+        assert capsys.readouterr().out == "error: steps[0]: distribution 1 has dimension 2, expected 1\n"
 
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         rc = main(["expect", "x2", "--config", write(tmp_path, "bad.json", "{ nope }")])

@@ -445,7 +445,7 @@ class TestFlatBuild:
     def test_overflowing_scale_is_refused(self):
         law = DiscreteDistribution([((1.6e308, 0.0), 0.5), ((-1.6e308, 0.0), 0.5)])
         base = SequenceModel(steps=(ScenarioSet([law]),) * 2, gp=GP_AMB)
-        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="^atom points must be finite$"):
+        with pytest.raises(ValidationError, match="^atom points must be finite$"):
             build_perturbed_family(base, np.array([0.0, 0.25]))
 
     def test_steps_are_flat_sets(self):

@@ -362,18 +362,16 @@ class TestConfigAndErrors:
 
     def test_overflow_mid_march_aborts(self):
         alternating = TestFunction(lambda x: 1.7e308 * (-1.0) ** np.arange(x.size), dim=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericsError, match=r"at step 1 \("):
-                solve(DEG, alternating, cfg_for(DEG, 6.0, dx=0.5))
+        with pytest.raises(NumericsError, match=r"at step 1 \("):
+            solve(DEG, alternating, cfg_for(DEG, 6.0, dx=0.5))
 
     def test_overflow_in_one_batch_row_aborts(self):
         xs = np.linspace(-3.0, 3.0, 61)
         rows = np.array([np.cos(xs), 1.7e308 * (-1.0) ** np.arange(xs.size)])
         before = rows.copy()
         dts = np.array([0.5, 0.9]) * cfl_limit(AMB, 0.1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericsError, match=r"at step 1 \("):
-                _march(rows, AMB, 0.1, dts, 20)
+        with pytest.raises(NumericsError, match=r"at step 1 \("):
+            _march(rows, AMB, 0.1, dts, 20)
         assert np.array_equal(rows, before)
 
     def test_names_the_first_non_finite_step(self):
@@ -381,16 +379,15 @@ class TestConfigAndErrors:
         v = (-1.0) ** np.arange(61)
         dt = 50.0 * cfl_limit(DEG, 0.1)
         first = 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:  # one step per march, up to the first that raises
-                try:
-                    v = _march(v, DEG, 0.1, dt, 1)
-                except NumericsError:
-                    break
-                first += 1
-            assert first > 1
-            with pytest.raises(NumericsError, match=rf"at step {first} \("):
-                _march((-1.0) ** np.arange(61), DEG, 0.1, dt, first + 10)
+        while True:  # one step per march, up to the first that raises
+            try:
+                v = _march(v, DEG, 0.1, dt, 1)
+            except NumericsError:
+                break
+            first += 1
+        assert first > 1
+        with pytest.raises(NumericsError, match=rf"at step {first} \("):
+            _march((-1.0) ** np.arange(61), DEG, 0.1, dt, first + 10)
 
     def test_huge_constant_stays_finite(self):
         # the profile's sum overflows, so a sum-based finiteness check would fail here

@@ -35,6 +35,16 @@ def two_sigma_steps(n, sigmas=(1.0, 2.0), y=0.0):
     return [step] * n
 
 
+def test_steps_of_one_dimension_only():
+    """Steps that are all 1-d evaluate; a model mixing 1-d and 2-d steps is refused."""
+    flat = ScenarioSet([DiscreteDistribution.symmetric_pair(1.0)])
+    pair = ScenarioSet([DiscreteDistribution([((1.0, 0.5), 0.5), ((-1.0, 0.5), 0.5)])])
+    assert nested_expect(square(), [flat, flat], 2, LATTICE) == pytest.approx(1.0, abs=ORACLE_TOL)
+    for cfg in (LATTICE, NestedEvalConfig((-4.0, 4.0, 801), "grid_interp", "strict")):
+        with pytest.raises(ValidationError, match="^distribution 1 has dimension 2, expected 1$"):
+            nested_expect(square(), [flat, pair], 2, cfg)
+
+
 def test_single_step_reduces_to_expect():
     steps = two_sigma_steps(1)
     # delta = 1, so the increment is x*1 + y*1
@@ -192,7 +202,7 @@ def test_grid_interp_matches_interp_reference(model, edge, cover, a, b):
     steps, n, delta, (lo, hi, num) = model
     if cover:  # widen the grid past every reachable partial sum
         wx, wy = (math.sqrt(1.0 / n), 1.0 / n) if delta is None else (1.0, 1.0)
-        reach = sum(np.abs(wx * s.atom_union()[:, 0] + wy * s.atom_union()[:, 1]).max() for s in steps)
+        reach = sum(np.abs(wx * s.points[:, 0] + wy * s.points[:, 1]).max() for s in steps)
         lo, hi = min(lo, -reach - 0.1), max(hi, reach + 0.1)
     cfg = NestedEvalConfig((lo, hi, num), "grid_interp", edge)
     phi = TestFunction(lambda s: a * s + b * np.cos(3.0 * s) + np.abs(s - 0.3), dim=1)

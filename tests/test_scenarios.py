@@ -267,16 +267,22 @@ def test_envelope_properties_hypothesis(s, slope, lam):
 
 
 @st.composite
-def random_sets(draw, dim):
+def random_laws(draw, dim):
+    """A law of 1-6 atoms, random points and weights."""
+    k = draw(st.integers(1, 6))
+    pts = draw(st.lists(st.tuples(*[st.floats(-5, 5)] * dim), min_size=k, max_size=k))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    total = sum(raw)
+    return DiscreteDistribution([(p, w / total) for p, w in zip(pts, raw)])
+
+
+def random_sets(dim):
     """Sets of 1-4 laws with 1-6 atoms each, random points and weights."""
-    dists = []
-    for _ in range(draw(st.integers(1, 4))):
-        k = draw(st.integers(1, 6))
-        pts = draw(st.lists(st.tuples(*[st.floats(-5, 5)] * dim), min_size=k, max_size=k))
-        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
-        total = sum(raw)
-        dists.append(DiscreteDistribution([(p, w / total) for p, w in zip(pts, raw)]))
-    return ScenarioSet(dists)
+    return st.lists(random_laws(dim), min_size=1, max_size=4).map(ScenarioSet)
+
+
+def cubic(dim):
+    return TestFunction(lambda *cs: np.cos(cs[0]) + cs[-1] ** 3, dim=dim)
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,7 +290,7 @@ def random_sets(draw, dim):
 def test_expect_matches_the_per_law_dot_product(s):
     """The flat per-law sums agree with the per-law definition sum_k w_k f(p_k)
     (BLAS ``np.dot``) to 1e-14 of the sum of |w_k f(p_k)|."""
-    f = TestFunction(lambda *cs: np.cos(cs[0]) + cs[-1] ** 3, dim=s.dim)
+    f = cubic(s.dim)
     per_law = [
         (float(np.dot(d.weights, f.on_points(d.points))), float(np.abs(d.weights * f.on_points(d.points)).sum()))
         for d in s.dists
@@ -294,6 +300,32 @@ def test_expect_matches_the_per_law_dot_product(s):
     assert abs(lower_expect(f, s) - min(per_law)[0]) <= 1e-14 * min(per_law)[1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(random_laws))
+def test_a_law_is_a_set_of_one_law(law):
+    f = cubic(law.dim)
+    values = f.on_points(law.points)
+    scale = np.abs(law.weights * values).sum()
+    assert abs(expect(f, law) - float(np.dot(law.weights, values))) <= 1e-14 * scale
+    assert len(law) == 1 and law.starts.tolist() == [0]
+    (view,) = law.dists
+    assert type(view) is DiscreteDistribution
+    assert np.array_equal(view.points, law.points) and np.array_equal(view.weights, law.weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda k: st.tuples(random_sets(k), random_laws(k), random_sets(k))))
+def test_a_set_of_sets_is_the_union_of_their_laws(parts):
+    """Families and single laws alike: the union holds their laws in turn."""
+    union = ScenarioSet(parts)
+    laws = [law for part in parts for law in part.dists]
+    assert len(union) == len(laws)
+    for got, want in zip(union.dists, laws):
+        assert np.array_equal(got.points, want.points) and np.array_equal(got.weights, want.weights)
+    f = cubic(union.dim)
+    assert expect(f, union) == max(expect(f, part) for part in parts)
+
+
 def test_set_stores_its_laws_flat():
     d1 = DiscreteDistribution([((1.0, 2.0), 0.25), ((-1.0, 0.0), 0.75)])
     d2 = DiscreteDistribution.point_mass((3.0, 3.0))
@@ -301,7 +333,7 @@ def test_set_stores_its_laws_flat():
     assert s.points.tolist() == [[-1.0, 0.0], [1.0, 2.0], [3.0, 3.0], [-1.0, 0.0], [1.0, 2.0]]
     assert s.weights.tolist() == [0.75, 0.25, 1.0, 0.75, 0.25]
     assert s.starts.tolist() == [0, 2, 3]
-    assert s.atom_union() is s.points
+    assert s.n_atoms == 5
     assert len(s) == 3
     for got, want in zip(s.dists, [d1, d2, d1]):
         assert np.array_equal(got.points, want.points) and np.array_equal(got.weights, want.weights)
