@@ -1,8 +1,9 @@
-"""Test functions, plus the small calculus on them.
+"""Test functions and their registry of wire names.
 
 Every functional in this package is evaluated against functions of one or
 two real coordinates. A ``TestFunction`` wraps a vectorized callable with
-its dimension and a display name.
+its dimension and a display name. A certificate that needs f + g or
+lam * f forms it from the values of f and g (see ``scenarios``).
 """
 
 from __future__ import annotations
@@ -49,30 +50,6 @@ class TestFunction:
         """Evaluate on an (n, dim) array of points."""
         points = np.asarray(points, dtype=float)
         return self(*(points[:, i] for i in range(self.dim)))
-
-
-def scale(f: TestFunction, lam: float) -> TestFunction:
-    inner = f.fn
-    return TestFunction(
-        fn=lambda *cs: lam * np.asarray(inner(*cs), dtype=float),
-        dim=f.dim,
-        name=f"{lam:g}*{f.name}" if f.name else "",
-    )
-
-
-def negate(f: TestFunction) -> TestFunction:
-    return TestFunction(scale(f, -1.0).fn, f.dim, f"-{f.name}" if f.name else "")
-
-
-def add(f: TestFunction, g: TestFunction) -> TestFunction:
-    if f.dim != g.dim:
-        raise ValidationError("cannot add test functions of different dimensions")
-    ff, gf = f.fn, g.fn
-    return TestFunction(
-        fn=lambda *cs: np.asarray(ff(*cs), dtype=float) + np.asarray(gf(*cs), dtype=float),
-        dim=f.dim,
-        name=f"{f.name}+{g.name}" if f.name and g.name else "",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +135,7 @@ def named_function(name: str, dim: int = 1, params: dict[str, float] | None = No
         factory = table[name]
     except KeyError:
         raise ValidationError(
-            f"unknown function {name!r} for dimension {dim}; known: {sorted(table)}"
+            f"phi {name!r} names no function of dimension {dim}; known: {sorted(table)}"
         ) from None
     params = params or {}
     known = inspect.signature(factory).parameters

@@ -33,12 +33,12 @@ class GParams:
     def __post_init__(self) -> None:
         vals = (self.mu_lo, self.mu_hi, self.sig2_lo, self.sig2_hi)
         if not all(np.isfinite(vals)):
-            raise ValidationError("uncertainty bounds must be finite")
+            raise ValidationError("mu and sigma2 must be finite")
         if self.mu_lo > self.mu_hi:
-            raise ValidationError(f"mean interval empty: [{self.mu_lo}, {self.mu_hi}]")
+            raise ValidationError(f"mu needs lo <= hi, got [{self.mu_lo}, {self.mu_hi}]")
         if not 0 < self.sig2_lo <= self.sig2_hi:
             raise ValidationError(
-                f"variance interval must satisfy 0 < lo <= hi, got [{self.sig2_lo}, {self.sig2_hi}]"
+                f"sigma2 must be a variance interval 0 < lo <= hi, got [{self.sig2_lo}, {self.sig2_hi}]"
             )
 
     @property

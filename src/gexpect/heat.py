@@ -143,11 +143,12 @@ def stable_dt(gp: GParams, dx: float, t_total: float) -> float:
 
     Where the bound underflows or the step count overflows, no float step
     is stable; the smallest positive float is returned, and ``SolverConfig``
-    refuses its step count.
+    refuses its step count. Where the bound overflows, one step spans
+    ``t_total``.
     """
     bound = CFL_SAFETY * cfl_limit(gp, dx)
     steps = t_total / bound if bound > 0 else math.inf
-    return t_total / math.ceil(steps) if steps < math.inf else math.ulp(0.0)
+    return t_total / max(1, math.ceil(steps)) if steps < math.inf else math.ulp(0.0)
 
 
 @dataclass(frozen=True)

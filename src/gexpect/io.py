@@ -94,6 +94,15 @@ def _pair(obj: dict, key: str, where: str) -> tuple[float, float]:
     return float(pair[0]), float(pair[1])
 
 
+def _prefixed(prefix: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a ``ValidationError`` it raises prefixed with ``prefix``:
+    ``"<section>."`` where its messages begin with the refused field, else ``"<where>: "``."""
+    try:
+        return make(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{prefix}{exc}") from None
+
+
 def parse_distribution(obj: dict, where: str) -> DiscreteDistribution:
     known_keys(obj, ("atoms",), where)
     rows = _require(obj, "atoms", where)
@@ -113,8 +122,7 @@ def parse_distribution(obj: dict, where: str) -> DiscreteDistribution:
             f"{where}: weights sum to {total!r}; deviations beyond "
             f"{LOADER_WEIGHT_TOL} are rejected"
         )
-    atoms = [(p, w / total) for p, w in atoms]
-    return DiscreteDistribution(atoms)
+    return _prefixed(f"{where}: ", DiscreteDistribution, [(p, w / total) for p, w in atoms])
 
 
 def parse_scenario_set(obj: dict, where: str) -> ScenarioSet:
@@ -123,10 +131,7 @@ def parse_scenario_set(obj: dict, where: str) -> ScenarioSet:
     if not isinstance(dists_raw, list) or not dists_raw:
         raise ValidationError(f"{where}: 'dists' must be a nonempty list")
     dists = [parse_distribution(d, f"{where}.dists[{j}]") for j, d in enumerate(dists_raw)]
-    try:
-        return ScenarioSet(dists, label=str(obj.get("label", "")))
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+    return _prefixed(f"{where}: ", ScenarioSet, dists, label=str(obj.get("label", "")))
 
 
 def load_steps_document(doc: dict) -> tuple[list[ScenarioSet], str]:
@@ -141,7 +146,7 @@ def load_steps_document(doc: dict) -> tuple[list[ScenarioSet], str]:
 
 def parse_gparams(obj: dict, where: str = "gp") -> GParams:
     known_keys(obj, ("mu", "sigma2"), where)
-    return GParams(*_pair(obj, "mu", where), *_pair(obj, "sigma2", where))
+    return _prefixed(f"{where}.", GParams, *_pair(obj, "mu", where), *_pair(obj, "sigma2", where))
 
 
 def parse_solver_config(obj: dict, gp: GParams, t_final: float | None) -> SolverConfig:
@@ -152,20 +157,15 @@ def parse_solver_config(obj: dict, gp: GParams, t_final: float | None) -> Solver
     dx = positive_number(_require(obj, "dx", "pde"), "pde.dx")
     if t_final is None:
         t_final = positive_number(_require(obj, "t_final", "pde"), "pde.t_final")
-    try:
-        return SolverConfig(lo, hi, dx, stable_dt(gp, dx, t_final), t_final)
-    except ValidationError as exc:
-        raise ValidationError(f"pde.{exc}") from None
+    return _prefixed("pde.", SolverConfig, lo, hi, dx, stable_dt(gp, dx, t_final), t_final)
 
 
 def parse_nested_config(obj: dict, where: str = "dp") -> NestedEvalConfig:
     known_keys(obj, ("x_range", "num_points", "mode", "edge"), where)
     num = _integer(_require(obj, "num_points", where), f"{where}.num_points", 2, GRID_NODE_CAP)
-    return NestedEvalConfig(
-        state_grid=(*_pair(obj, "x_range", where), num),
-        mode=str(obj.get("mode", "grid_interp")),
-        edge=str(obj.get("edge", "clamp")),
-    )
+    grid = (*_pair(obj, "x_range", where), num)
+    mode, edge = str(obj.get("mode", "grid_interp")), str(obj.get("edge", "clamp"))
+    return _prefixed(f"{where}.", NestedEvalConfig, grid, mode, edge)
 
 
 def eps_from_rule(rule: dict, count: int) -> np.ndarray:
@@ -217,7 +217,7 @@ def parse_phi(doc: dict, where: str) -> TestFunction:
     params = doc.get("phi_params", {})
     if not isinstance(params, dict) or not all(map(_is_number, params.values())):
         raise ValidationError(f"{where}.phi_params must map names to numbers, got {params!r}")
-    return named_function(str(_require(doc, "phi", where)), 1, params)
+    return _prefixed(f"{where}.", named_function, str(_require(doc, "phi", where)), 1, params)
 
 
 def output_stem(value, name: str) -> str:

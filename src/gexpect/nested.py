@@ -56,11 +56,13 @@ _LATTICE_RATIO_CAP = 2**20
 class NestedEvalConfig:
     """State-space handling for the backward recursion.
 
-    ``state_grid`` = (lo, hi, num_points) is used in ``grid_interp`` mode;
-    in ``exact_lattice`` mode it is ignored. ``edge`` controls grid
-    coverage: "strict" rejects instances whose reachable sums can leave the
-    grid, "clamp" truncates them at the edges. Neither mode's grid may
-    exceed ``GRID_NODE_CAP`` nodes.
+    ``state_grid`` = (lo, hi, num_points) is used in ``grid_interp`` mode,
+    where it must contain 0, the start of the recursion; in
+    ``exact_lattice`` mode it is ignored. ``edge`` controls grid coverage:
+    "strict" rejects instances whose reachable sums can leave the grid,
+    "clamp" truncates them at the edges. Neither mode's grid may exceed
+    ``GRID_NODE_CAP`` nodes. Messages name [lo, hi] ``x_range``, as the
+    ``dp`` section does.
     """
 
     state_grid: tuple[float, float, int] = (-16.0, 16.0, 3201)
@@ -70,18 +72,34 @@ class NestedEvalConfig:
     def __post_init__(self) -> None:
         lo, hi, num = self.state_grid
         if not lo < hi:
-            raise ValidationError("state grid needs lo < hi")
+            raise ValidationError(f"x_range needs lo < hi, got [{lo}, {hi}]")
         if not 2 <= num <= GRID_NODE_CAP or int(num) != num:
-            raise ValidationError(f"state grid needs an integer num_points in [2, {GRID_NODE_CAP}]")
+            raise ValidationError(f"num_points must be an integer in [2, {GRID_NODE_CAP}]")
         if self.mode not in ("exact_lattice", "grid_interp"):
-            raise ValidationError(f"unknown mode {self.mode!r}")
+            raise ValidationError(f"mode must be exact_lattice or grid_interp, got {self.mode!r}")
         if self.edge not in ("strict", "clamp"):
-            raise ValidationError(f"unknown edge policy {self.edge!r}")
+            raise ValidationError(f"edge must be strict or clamp, got {self.edge!r}")
+        if self.mode == "grid_interp" and not lo <= 0.0 <= hi:
+            raise ValidationError(f"x_range [{lo}, {hi}] must contain 0, the start of the recursion")
 
 
 def _steps_of(model) -> tuple[ScenarioSet, ...]:
     steps = getattr(model, "steps", model)
     return tuple(steps)
+
+
+def _first_steps(model, n: int) -> tuple[ScenarioSet, ...]:
+    """The model's first n steps; refused unless n >= 1, the model has them,
+    and they share one dimension (the first step that does not is named, 1-based)."""
+    steps = _steps_of(model)[:n]
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    if len(steps) < n:
+        raise ValidationError(f"model has {len(steps)} steps, needs at least {n}")
+    for i, step in enumerate(steps):
+        if step.dim != steps[0].dim:
+            raise ValidationError(f"step {i + 1} has dimension {step.dim}, expected {steps[0].dim}")
+    return steps
 
 
 def _step_weights(n: int, delta: float | None) -> tuple[float, float]:
@@ -184,11 +202,7 @@ def nested_expect(
     """
     if phi_of_sum.dim != 1:
         raise ValidationError("phi_of_sum must be a function of the scalar sum")
-    steps = _steps_of(model)[:n]
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if len(steps) < n:
-        raise ValidationError(f"model has {len(steps)} steps, needs at least {n}")
+    steps = _first_steps(model, n)
     wx, wy = _step_weights(n, delta)
     slot = {}  # each distinct step object's position, in order of first use
     order = [slot.setdefault(id(step), len(slot)) for step in steps]
@@ -205,8 +219,6 @@ def nested_expect(
         xs = np.arange(low, high + 1, dtype=np.int64).astype(float) * h
     else:
         lo, hi, num = cfg.state_grid
-        if not lo <= 0.0 <= hi:
-            raise ValidationError("state grid must contain 0 (the recursion starts there)")
         c_lo, c_hi = np.cumsum(step_lo), np.cumsum(step_hi)
         bad = np.flatnonzero((c_lo < lo - 1e-12) | (c_hi > hi + 1e-12))
         if cfg.edge == "strict" and bad.size:
@@ -251,12 +263,12 @@ def bruteforce_nested(
     """
     if phi_of_sum.dim != 1:
         raise ValidationError("phi_of_sum must be a function of the scalar sum")
-    steps = _steps_of(model)
-    n_policies = count_policies(model, n)
+    steps = _first_steps(model, n)
+    n_policies = count_policies(steps, n)
     if n_policies > cap:
         raise ValidationError(f"policy count {n_policies} exceeds cap {cap}")
     wx, wy = _step_weights(n, delta)
-    inc, wts, starts, firsts = _increments(steps[:n], wx, wy)
+    inc, wts, starts, firsts = _increments(steps, wx, wy)
     bounds = starts.tolist() + [inc.size]
     scenarios = _per_step(list(map(slice, bounds, bounds[1:])), firsts)
 

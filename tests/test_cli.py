@@ -171,6 +171,14 @@ class TestClt:
             (None, "phi_params", {"dim": 2}, "phi_params.dim is not a parameter of 'cos'"),
             (None, "phi_params", {"name": 1}, "phi_params.name is not a parameter of 'cos'"),
             (None, "phi_params", {"clip": 2.0}, "phi_params.clip is not a parameter of 'cos'"),
+            ("gp", "mu", [0.5, -0.5], "gp.mu needs lo <= hi"),
+            ("gp", "sigma2", [0, 1], "gp.sigma2 must be a variance interval"),
+            ("dp", "x_range", [6, -6], "dp.x_range needs lo < hi"),
+            ("dp", "x_range", [1, 6], "dp.x_range [1.0, 6.0] must contain 0"),
+            ("dp", "mode", "grid", "dp.mode must be"),
+            ("dp", "edge", "clip", "dp.edge must be"),
+            (None, "phi", "cosine", "preset.phi 'cosine' names no function"),
+            ("pde", "dx", 1e300, "pde.dx must divide"),  # dx * dx overflows in the CFL bound
         ],
     )
     def test_malformed_field_is_a_validation_error(self, tmp_path, capsys, section, key, value, field):
@@ -229,6 +237,7 @@ class TestSolveAndConditions:
             (None, "phi_params", 5, "document.phi_params"),
             (None, "label", "../escaped", "document.label"),
             (None, "solver", {"x_range": [-6.0, 6.0], "dx": 0.1}, "document.solver"),
+            ("pde", "dx", 1e300, "pde.dx must divide"),  # dx * dx overflows in the CFL bound
         ],
     )
     def test_malformed_solve_field(self, tmp_path, capsys, section, key, value, field):
@@ -274,17 +283,28 @@ JSON_VALUES = st.recursive(
 PRESET = json.loads(
     resources.files("gexpect").joinpath("presets", "classical-cos.json").read_text(encoding="utf-8")
 )
+SECTION_KEYS = {
+    "gp": ("mu", "sigma2"),
+    "family_params": ("sigma_levels", "mean_levels", "n_max"),
+    "dp": ("x_range", "num_points", "mode", "edge"),
+    "pde": ("x_range", "dx"),
+    "eps_rule": ("kind", "offset", "scale"),
+}
+FIELDS = [(None, key) for key in sorted(PRESET) + ["eps_rule", "output_dir", "phi_params"]] + [
+    (section, key) for section, keys in SECTION_KEYS.items() for key in keys
+]
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    key=st.sampled_from(sorted(PRESET) + ["eps_rule", "output_dir", "phi_params"]),
-    value=JSON_VALUES,
-)
-def test_any_preset_field_keeps_the_exit_code_contract(key, value):
-    """One top-level field of a shipped preset replaced by an arbitrary JSON
-    value: the run ends in a documented exit code, never an exception."""
-    doc = {**PRESET, key: value}
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(FIELDS), value=st.floats() | JSON_VALUES)
+def test_any_preset_field_keeps_the_exit_code_contract(field, value):
+    """One field replaced by an arbitrary JSON value, floats the most often: a
+    top-level field of a shipped preset, or a field inside a section of the
+    small perturbed preset. The run ends in a documented exit code, never an
+    exception."""
+    section, key = field
+    doc = copy.deepcopy(SMALL if section else PRESET)
+    (doc[section] if section else doc)[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "preset.json"
         path.write_text(json.dumps(doc), encoding="utf-8")

@@ -21,7 +21,7 @@ from gexpect import (
     stable_dt,
     value_at,
 )
-from gexpect.functions import add, const, cosine, ramp
+from gexpect.functions import TestFunction, const, cosine, ramp
 from gexpect.heat import _aligned, _march
 from gexpect.io import parse_solver_config
 
@@ -217,7 +217,7 @@ class TestStructure:
     def test_comparison(self):
         cfg = cfg_for(AMB, 13.0, dx=0.1)
         f1 = cosine()
-        f2 = add(cosine(), const(0.5))
+        f2 = TestFunction(lambda x: np.cos(x) + 0.5)
         v1 = solve(AMB, f1, cfg).grid_values
         v2 = solve(AMB, f2, cfg).grid_values
         assert np.all(v1 <= v2 + 1e-12)
@@ -225,7 +225,7 @@ class TestStructure:
     def test_sublinear_in_terminal_data(self):
         cfg = cfg_for(AMB, 13.0, dx=0.1)
         f1, f2 = cosine(), ramp(clip=4.0)
-        v_sum = value_at(solve(AMB, add(f1, f2), cfg), 0.0)
+        v_sum = value_at(solve(AMB, TestFunction(lambda x: f1(x) + f2(x)), cfg), 0.0)
         v1 = value_at(solve(AMB, f1, cfg), 0.0)
         v2 = value_at(solve(AMB, f2, cfg), 0.0)
         assert v_sum <= v1 + v2 + 1e-9
@@ -333,6 +333,12 @@ class TestConfigAndErrors:
         assert dt > 0
         with pytest.raises(ValidationError, match="the caps are"):
             SolverConfig(-6.0, 6.0, 1e-300, dt, 1.0)
+
+    def test_stable_dt_for_an_overflowing_bound(self):
+        # dx * dx overflows, so the bound is inf: one step, and a grid of no interval
+        assert stable_dt(AMB, 1e300, 1.0) == 1.0
+        with pytest.raises(ValidationError, match="^dx must divide"):
+            SolverConfig(-6.0, 6.0, 1e300, stable_dt(AMB, 1e300, 1.0), 1.0)
 
     def test_non_finite_initial_data_aborts(self):
         bad = TestFunction(lambda x: np.where(np.abs(x) > 3, np.nan, x), dim=1)

@@ -36,13 +36,18 @@ def two_sigma_steps(n, sigmas=(1.0, 2.0), y=0.0):
 
 
 def test_steps_of_one_dimension_only():
-    """Steps that are all 1-d evaluate; a model mixing 1-d and 2-d steps is refused."""
+    """Steps that are all 1-d evaluate; a model mixing 1-d and 2-d steps is refused,
+    naming the first step (1-based, repeated steps counted) of another dimension."""
     flat = ScenarioSet([DiscreteDistribution.symmetric_pair(1.0)])
     pair = ScenarioSet([DiscreteDistribution([((1.0, 0.5), 0.5), ((-1.0, 0.5), 0.5)])])
     assert nested_expect(square(), [flat, flat], 2, LATTICE) == pytest.approx(1.0, abs=ORACLE_TOL)
     for cfg in (LATTICE, NestedEvalConfig((-4.0, 4.0, 801), "grid_interp", "strict")):
-        with pytest.raises(ValidationError, match="^distribution 1 has dimension 2, expected 1$"):
+        with pytest.raises(ValidationError, match="^step 2 has dimension 2, expected 1$"):
             nested_expect(square(), [flat, pair], 2, cfg)
+        with pytest.raises(ValidationError, match="^step 3 has dimension 2, expected 1$"):
+            nested_expect(square(), [flat, flat, pair], 3, cfg)
+    with pytest.raises(ValidationError, match="^step 3 has dimension 2, expected 1$"):
+        bruteforce_nested(square(), [flat, flat, pair], 3)
 
 
 def test_single_step_reduces_to_expect():
@@ -293,9 +298,18 @@ class TestValidation:
         nested_expect(square(), steps, 4, clamp)  # truncates instead
 
     def test_grid_must_contain_zero(self):
-        cfg = NestedEvalConfig((1.0, 2.0, 11), "grid_interp", "clamp")
         with pytest.raises(ValidationError, match="contain 0"):
-            nested_expect(square(), two_sigma_steps(1), 1, cfg)
+            NestedEvalConfig((1.0, 2.0, 11), "grid_interp", "clamp")
+        NestedEvalConfig((1.0, 2.0, 11), "exact_lattice")  # the lattice mode ignores the grid
+
+    def test_both_evaluators_check_the_step_count(self):
+        steps = two_sigma_steps(2)
+        for evaluate in (lambda n: nested_expect(square(), steps, n, LATTICE),
+                         lambda n: bruteforce_nested(square(), steps, n)):
+            with pytest.raises(ValidationError, match="^n must be >= 1$"):
+                evaluate(0)
+            with pytest.raises(ValidationError, match="^model has 2 steps, needs at least 3$"):
+                evaluate(3)
 
     def test_lattice_rejects_incommensurable_increments(self):
         step = ScenarioSet(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gexpect import (
     DiscreteDistribution,
+    Report,
     ScenarioSet,
     ValidationError,
     expect,
@@ -19,16 +20,17 @@ from gexpect import (
 )
 from gexpect.functions import (
     TestFunction,
+    abs_power,
     abs_product,
-    add,
     const,
+    coord,
+    coord_abs_power,
     cosine,
     identity,
-    negate,
-    scale,
+    ramp,
     square,
 )
-from gexpect.scenarios import canonical_laws
+from gexpect.scenarios import canonical_laws, law_sums
 
 AXIOM_TOL = 1e-10
 
@@ -36,6 +38,7 @@ RADEMACHER = ScenarioSet([DiscreteDistribution.symmetric_pair(1.0)])
 TWO_SIGMA = ScenarioSet(
     [DiscreteDistribution.symmetric_pair(1.0), DiscreteDistribution.symmetric_pair(2.0)]
 )
+SQUARE_PLUS_ONE = TestFunction(lambda x: x * x + 1.0, 1, "x^2+1")
 
 
 def random_set(rng, dim=1, max_dists=4, max_atoms=5, radius=3.0):
@@ -65,7 +68,7 @@ class TestExpect:
 
     def test_corner_scenario(self):
         assert expect(square(), TWO_SIGMA) == pytest.approx(4.0, abs=1e-15)
-        assert expect(negate(square()), TWO_SIGMA) == pytest.approx(-1.0, abs=1e-15)
+        assert expect(TestFunction(lambda x: -(x * x)), TWO_SIGMA) == pytest.approx(-1.0, abs=1e-15)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(11)
@@ -116,7 +119,7 @@ class TestAxioms:
 
     def test_failed_checks_keep_five_witnesses(self):
         """A negative tolerance fails every check, so every witness is formatted."""
-        fns = [square(), add(square(), const(1.0)), const(1.0)]
+        fns = [square(), SQUARE_PLUS_ONE, const(1.0)]
         reports = verify_axioms(TWO_SIGMA, fns, -10.0)
         for name, r in reports.items():
             assert r.checks >= 1 and r.failures == r.checks, name
@@ -135,12 +138,16 @@ class TestAxioms:
             assert all(r.passed for r in reports.values()), reports
 
     def test_monotone_pairs_are_found(self):
-        reports = verify_axioms(TWO_SIGMA, [square(), add(square(), const(1.0))], AXIOM_TOL)
+        reports = verify_axioms(TWO_SIGMA, [square(), SQUARE_PLUS_ONE], AXIOM_TOL)
         assert reports["monotonicity"].checks >= 1
 
     def test_needs_a_function(self):
         with pytest.raises(ValidationError):
             verify_axioms(TWO_SIGMA, [], AXIOM_TOL)
+
+    def test_function_of_another_dimension_is_refused(self):
+        with pytest.raises(ValidationError, match="^function dimension 2 != scenario dimension 1$"):
+            verify_axioms(TWO_SIGMA, [square(), abs_product()], AXIOM_TOL)
 
 
 class TestIdenticallyDistributed:
@@ -262,8 +269,8 @@ def test_envelope_properties_hypothesis(s, slope, lam):
     f = TestFunction(lambda x, a=slope: a * x + x * x, dim=1, name="q")
     g = cosine()
     assert lower_expect(f, s) <= expect(f, s) + 1e-12
-    assert expect(add(f, g), s) <= expect(f, s) + expect(g, s) + AXIOM_TOL
-    assert expect(scale(f, lam), s) == pytest.approx(lam * expect(f, s), abs=AXIOM_TOL)
+    assert expect(TestFunction(lambda x: f(x) + g(x)), s) <= expect(f, s) + expect(g, s) + AXIOM_TOL
+    assert expect(TestFunction(lambda x: lam * f(x)), s) == pytest.approx(lam * expect(f, s), abs=AXIOM_TOL)
 
 
 @st.composite
@@ -346,3 +353,124 @@ def test_canonical_laws_sorts_and_merges_each_law_on_its_own():
     assert pts[:, 0].tolist() == [1.0, 2.0, 0.5]
     assert wts.tolist() == [0.5, 0.5, (0.1 + 0.2) + 0.7]  # summed left to right
     assert starts.tolist() == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# reference: the certificates as a calculus of function closures, each
+# combined function evaluated again on the atoms
+# ---------------------------------------------------------------------------
+
+def ref_add(f, g):
+    ff, gf = f.fn, g.fn
+    return TestFunction(
+        lambda *cs: np.asarray(ff(*cs), dtype=float) + np.asarray(gf(*cs), dtype=float), f.dim
+    )
+
+
+def ref_scale(f, lam):
+    inner = f.fn
+    return TestFunction(lambda *cs: lam * np.asarray(inner(*cs), dtype=float), f.dim)
+
+
+def ref_expect(f, s):
+    return float(law_sums(s.weights, f.on_points(s.points), s.starts).max())
+
+
+def ref_lower_expect(f, s):
+    return -ref_expect(ref_scale(f, -1.0), s)
+
+
+def ref_verify_axioms(s, fns, tol):
+    vals = [f.on_points(s.points) for f in fns]
+    ups = [ref_expect(f, s) for f in fns]
+    names = [f.name or str(i) for i, f in enumerate(fns)]
+    mono, cpres, sub, homog = reports = [
+        Report(name)
+        for name in ("monotonicity", "constant_preserving", "subadditivity", "positive_homogeneity")
+    ]
+    for i in range(len(fns)):
+        for j in range(len(fns)):
+            if i != j and np.min(vals[i] - vals[j]) >= 0:
+                mono.record(
+                    ups[i] >= ups[j] - tol, ups[j] - ups[i],
+                    "%s >= %s pointwise but E[%s]=%r < E[%s]=%r",
+                    names[i], names[j], names[i], ups[i], names[j], ups[j],
+                )
+    for i in range(len(fns)):
+        if np.ptp(vals[i]) == 0.0:
+            c = float(vals[i][0])
+            gap = abs(ups[i] - c)
+            cpres.record(gap <= tol, gap, "E[const %r] = %r", c, ups[i])
+    for i, f in enumerate(fns):
+        for j in range(i, len(fns)):
+            lhs = ref_expect(ref_add(f, fns[j]), s)
+            rhs = ups[i] + ups[j]
+            sub.record(lhs <= rhs + tol, lhs - rhs, "E[%s+%s]=%r > %r", names[i], names[j], lhs, rhs)
+    for i, f in enumerate(fns):
+        for lam in (0.0, 0.5, 1.0, 2.0):
+            lhs = ref_expect(ref_scale(f, lam), s)
+            gap = abs(lhs - lam * ups[i])
+            homog.record(gap <= tol, gap, "E[%g*%s]=%r != %r", lam, names[i], lhs, lam * ups[i])
+    return {r.name: r for r in reports}
+
+
+def ref_holder_check(s, p, q, tol):
+    e_xy = ref_expect(abs_product(), s)
+    e_xp = ref_expect(coord_abs_power(0, p), s)
+    e_yq = ref_expect(coord_abs_power(1, q), s)
+    if e_xy > e_xp ** (1.0 / p) * e_yq ** (1.0 / q) + tol:
+        return False
+    for p_prime in (p, p + 1.0):
+        lhs = ref_expect(coord_abs_power(0, p), s) ** (1.0 / p)
+        rhs = ref_expect(coord_abs_power(0, p_prime), s) ** (1.0 / p_prime)
+        if lhs > rhs + tol:
+            return False
+    return True
+
+
+def function_pool(dim):
+    """Named and random functions of ``dim`` coordinates, signed zeros and constants included."""
+    coef = st.floats(-2, 2, allow_nan=False)
+    if dim == 1:
+        fixed = st.sampled_from(
+            [identity(), square(), cosine(), abs_power(3.0), ramp(), ramp(clip=1.0), SQUARE_PLUS_ONE]
+        )
+        built = st.builds(
+            lambda a, b, c: TestFunction(lambda x: a * x + b * x * x + c, 1, f"poly({a!r},{b!r},{c!r})"),
+            coef, coef, coef,
+        )
+        zero = st.just(TestFunction(lambda x: 0.0 * x, 1))  # -0.0 at negative points, unnamed
+    else:
+        fixed = st.sampled_from([coord(0), coord(1), abs_product(), coord_abs_power(0, 3.0)])
+        built = st.builds(
+            lambda a, b: TestFunction(lambda x, y: a * x * y + b * np.cos(y), 2, f"mix({a!r},{b!r})"),
+            coef, coef,
+        )
+        zero = st.just(TestFunction(lambda x, y: 0.0 * x * y, 2))
+    consts = coef.map(lambda c: const(c, dim))
+    return st.lists(st.one_of(fixed, built, zero, consts), min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2]).flatmap(lambda k: st.tuples(random_sets(k), function_pool(k))),
+    st.sampled_from([AXIOM_TOL, -1.0]) | st.floats(-5.0, -1e-12),
+)
+def test_certificates_match_the_closure_reference_bit_for_bit(case, tol):
+    """Reading each function's values once gives the reports, expectations and
+    Hoelder verdicts of the closure calculus, to the bit."""
+    s, fns = case
+    got, want = verify_axioms(s, fns, tol), ref_verify_axioms(s, fns, tol)
+    assert list(got) == list(want)
+    for name in want:
+        g, w = got[name], want[name]
+        assert (g.checks, g.failures, g.worst.hex(), g.details) == (
+            w.checks, w.failures, w.worst.hex(), w.details
+        ), name
+    for f in fns:
+        assert expect(f, s).hex() == ref_expect(f, s).hex()
+        assert lower_expect(f, s).hex() == ref_lower_expect(f, s).hex()
+    if s.dim == 2:
+        for p in (2.0, 3.0, 1.5):
+            q = p / (p - 1.0)
+            assert holder_check(s, p, q, tol) == ref_holder_check(s, p, q, tol)
