@@ -40,6 +40,9 @@ def cmd_expect(config_path: str, function_name: str) -> int:
     doc = read_json(config_path)
     steps, label = load_steps_document(doc)
     phi = named_function(function_name, dim=steps[0].dim)
+    for i, s in enumerate(steps):  # every step is checked before any line is printed
+        if s.dim != phi.dim:
+            raise ValidationError(f"steps[{i}]: dimension {s.dim} != {phi.dim} of steps[0]")
     for i, s in enumerate(steps):
         upper = expect(phi, s)
         lower = lower_expect(phi, s)

@@ -268,21 +268,21 @@ def run_clt(
 
 def reencode_model(model: SequenceModel, seed: int = 0) -> SequenceModel:
     """Distribution-identical re-encoding: scenario order permuted and one
-    atom split into two equal-weight duplicates (merged again by the
-    canonical normalization), so the induced laws are unchanged."""
+    atom of each law split into two equal-weight duplicates, kept apart
+    (``_flat`` skips the canonical merge), so the laws are unchanged but the
+    stencils of the nested recursion are not."""
     rng = np.random.default_rng(seed)
     steps = []
     for step in model.steps:
-        dists = list(step.dists)
-        order = rng.permutation(len(dists))
+        dists = step.dists
         new_dists = []
-        for j in order:
+        for j in rng.permutation(len(dists)):
             d = dists[j]
-            atoms = [(tuple(p), w) for p, w in zip(d.points, d.weights)]
-            k = int(rng.integers(len(atoms)))
-            pt, w = atoms[k]
-            atoms[k : k + 1] = [(pt, w / 2.0), (pt, w / 2.0)]
-            new_dists.append(DiscreteDistribution(atoms))
+            k = int(rng.integers(d.n_atoms))
+            reps = 1 + (np.arange(d.n_atoms) == k)  # atom k twice
+            points, weights = np.repeat(d.points, reps, axis=0), np.repeat(d.weights, reps)
+            weights[k : k + 2] /= 2.0
+            new_dists.append(DiscreteDistribution._flat(points, weights, d.starts))
         steps.append(ScenarioSet(new_dists, label=step.label))
     return SequenceModel(
         steps=tuple(steps),

@@ -61,8 +61,9 @@ past a boundary, and the semigroup check 0.14 s against 0.18-0.19 s. So
 the speed of a march no longer depends on what was allocated before it.
 The values are the same either way.
 
-Work cap: ``SolverConfig`` refuses more than ``GRID_NODE_CAP`` nodes or
-``MARCH_UPDATE_CAP`` node updates (time steps x nodes).
+Work cap: ``SolverConfig`` refuses more than ``MARCH_UPDATE_CAP`` node
+updates (time steps x nodes), naming ``t_final`` and the ``dt`` that ``gp``
+and ``dx`` allow, or else more than ``GRID_NODE_CAP`` nodes, naming ``dx``.
 
 Time step: a monotone scheme converges as dx refines with dt proportional
 to dx^2, so ``dt`` is no accuracy setting of its own: ``stable_dt`` derives
@@ -103,12 +104,15 @@ class SolverConfig:
         nx = (self.x_hi - self.x_lo) / self.dx
         nodes = nx + 1
         steps = self.t_final / self.dt
-        if not (nodes <= GRID_NODE_CAP and nodes * steps <= MARCH_UPDATE_CAP):
+        caps = f"the caps are {GRID_NODE_CAP} nodes and {MARCH_UPDATE_CAP:.0e} node updates"
+        if not nodes * steps <= MARCH_UPDATE_CAP:
             raise ValidationError(
-                f"dx = {self.dx!r} asks for a march of {steps:.3g} steps of dt = {self.dt!r} "
-                f"on {nodes:.3g} nodes up to t = {self.t_final:g}; the caps are "
-                f"{GRID_NODE_CAP} nodes and {MARCH_UPDATE_CAP:.0e} node updates"
+                f"t_final = {self.t_final!r} asks for a march of {steps:.3g} steps of "
+                f"dt = {self.dt!r}, at most the CFL step of gp at dx = {self.dx!r}, "
+                f"on {nodes:.3g} nodes; {caps}"
             )
+        if not nodes <= GRID_NODE_CAP:
+            raise ValidationError(f"dx = {self.dx!r} asks for {nodes:.3g} nodes; {caps}")
         if abs(nx - round(nx)) > _GRID_INT_TOL or round(nx) < 8:
             raise ValidationError("dx must divide x_hi - x_lo into an integer >= 8 intervals")
         if abs(steps - round(steps)) > _GRID_INT_TOL * max(1.0, steps):

@@ -30,7 +30,9 @@ operator is monotone, like the exact recursion.
 
 ``bruteforce_nested`` is the independent oracle: it enumerates every
 adapted assignment of one scenario per history node and returns the
-maximum of the induced classical expectations.
+maximum of the induced classical expectations. It reads each step's laws
+itself and shares only the input checks and the step weights with
+``nested_expect``, so a fault in building the stencils cannot hide in both.
 """
 
 from __future__ import annotations
@@ -83,15 +85,10 @@ class NestedEvalConfig:
             raise ValidationError(f"x_range [{lo}, {hi}] must contain 0, the start of the recursion")
 
 
-def _steps_of(model) -> tuple[ScenarioSet, ...]:
-    steps = getattr(model, "steps", model)
-    return tuple(steps)
-
-
 def _first_steps(model, n: int) -> tuple[ScenarioSet, ...]:
-    """The model's first n steps; refused unless n >= 1, the model has them,
-    and they share one dimension (the first step that does not is named, 1-based)."""
-    steps = _steps_of(model)[:n]
+    """The first n steps of a model or step sequence; refused unless n >= 1, the model has
+    them, and they share one dimension (the first step that does not is named, 1-based)."""
+    steps = tuple(getattr(model, "steps", model))[:n]
     if n < 1:
         raise ValidationError("n must be >= 1")
     if len(steps) < n:
@@ -107,20 +104,6 @@ def _step_weights(n: int, delta: float | None) -> tuple[float, float]:
     if d <= 0:
         raise ValidationError("delta must be positive")
     return math.sqrt(d), d
-
-
-def _increments(steps, wx: float, wy: float):
-    """Increments and weights of all atoms of the steps, flat, with each scenario's first atom
-    and each step's first scenario (``stack_sets``)."""
-    points, w, starts, firsts = stack_sets(steps)
-    y = points[:, 1] if points.shape[1] == 2 else 0.0
-    return wx * points[:, 0] + wy * y, w, starts, firsts
-
-
-def _per_step(per_scenario: list, firsts: list[int]) -> list:
-    """A per-scenario list, cut into one list per step."""
-    laws = firsts + [len(per_scenario)]
-    return [per_scenario[a:b] for a, b in zip(laws, laws[1:])]
 
 
 def _float_gcd(a: float, b: float, tol: float) -> float:
@@ -149,10 +132,10 @@ def _lattice_spacing(flat: np.ndarray) -> float:
     return g
 
 
-def _stencils(inc, w, starts, h: float, exact: bool, num: int):
-    """Per scenario, its (offset, coefficient) terms on a num-node grid of spacing h, and the
-    largest |offset| read: the lower term of each atom, then the nonzero upper terms. Offsets
-    are clipped to [-num, num - 1]; past that, all read an edge."""
+def _stencils(inc, w, starts, firsts: list[int], h: float, exact: bool, num: int):
+    """Per step (from scenario ``firsts[i]``) and scenario, its (offset, coefficient) terms on a
+    num-node grid of spacing h, and the largest |offset| read: the lower term of each atom, then
+    the nonzero upper terms. Offsets are clipped to [-num, num - 1]; past that, all read an edge."""
     u = inc / h
     k = np.round(u) if exact else np.floor(u)
     f = 0.0 if exact else u - k
@@ -165,7 +148,9 @@ def _stencils(inc, w, starts, h: float, exact: bool, num: int):
     offsets = np.concatenate((ks, ks + 1))[order].tolist()
     terms = list(zip(offsets, np.concatenate((w * (1.0 - f), upper))[order].tolist()))
     ends = np.cumsum(np.bincount(key[order] // 2, minlength=starts.size)).tolist()
-    return [terms[a:b] for a, b in zip([0] + ends, ends)], int(np.abs(k).max()) + 1
+    per_law = [terms[a:b] for a, b in zip([0] + ends, ends)]
+    laws = firsts + [starts.size]
+    return [per_law[a:b] for a, b in zip(laws, laws[1:])], int(np.abs(k).max()) + 1
 
 
 def _march(values: np.ndarray, stencils, pad: int) -> np.ndarray:
@@ -206,7 +191,8 @@ def nested_expect(
     wx, wy = _step_weights(n, delta)
     slot = {}  # each distinct step object's position, in order of first use
     order = [slot.setdefault(id(step), len(slot)) for step in steps]
-    inc, w, starts, firsts = _increments(list({id(step): step for step in steps}.values()), wx, wy)
+    points, w, starts, firsts = stack_sets(list({id(step): step for step in steps}.values()))
+    inc = wx * points[:, 0] + wy * (points[:, 1] if points.shape[1] == 2 else 0.0)
     at = starts[firsts]  # each distinct step's first atom
     step_lo, step_hi = np.minimum.reduceat(inc, at)[order], np.maximum.reduceat(inc, at)[order]
     exact = cfg.mode == "exact_lattice"
@@ -230,20 +216,16 @@ def nested_expect(
             )
         xs = np.linspace(lo, hi, int(num))
         h = (hi - lo) / (num - 1)
-    stencils, pad = _stencils(inc, w, starts, h, exact, xs.size)
-    stencils = _per_step(stencils, firsts)
+    stencils, pad = _stencils(inc, w, starts, firsts, h, exact, xs.size)
     values = _march(phi_of_sum(xs), [stencils[j] for j in order], pad)
     return float(np.interp(0.0, xs, values))  # at a node in exact mode: that node's value
 
 
 def count_policies(model, n: int) -> int:
-    """Number of adapted scenario policies for an n-step prefix."""
-    steps = _steps_of(model)
-    if len(steps) < n:
-        raise ValidationError(f"model has {len(steps)} steps, needs at least {n}")
+    """Number of adapted scenario policies for an n-step prefix (refused as the evaluators do)."""
     count = 1
-    for i in range(n - 1, -1, -1):
-        count = sum(count ** d.n_atoms for d in steps[i].dists)
+    for step in reversed(_first_steps(model, n)):
+        count = sum(count ** d.n_atoms for d in step.dists)
     return count
 
 
@@ -268,17 +250,19 @@ def bruteforce_nested(
     if n_policies > cap:
         raise ValidationError(f"policy count {n_policies} exceeds cap {cap}")
     wx, wy = _step_weights(n, delta)
-    inc, wts, starts, firsts = _increments(steps, wx, wy)
-    bounds = starts.tolist() + [inc.size]
-    scenarios = _per_step(list(map(slice, bounds, bounds[1:])), firsts)
+    laws = [
+        [(wx * d.points[:, 0] + wy * (d.points[:, 1] if d.dim == 2 else 0.0), d.weights)
+         for d in step.dists]
+        for step in steps
+    ]
 
     def policy_values(s: float, i: int) -> np.ndarray:
         if i == n:
             return phi_of_sum(np.array([s]))
         parts = []
-        for at in scenarios[i]:
+        for inc, wts in laws[i]:
             acc = np.zeros(1)
-            for c, w in zip(inc[at], wts[at]):
+            for c, w in zip(inc, wts):
                 child = policy_values(s + float(c), i + 1)
                 acc = (acc[:, None] + w * child[None, :]).ravel()
             parts.append(acc)

@@ -97,6 +97,13 @@ class TestExpect:
         assert rc == 2
         assert "atom 1 must be" in capsys.readouterr().out
 
+    def test_mixed_step_dimensions_refused_before_printing(self, tmp_path, capsys):
+        doc = {"steps": [RADEMACHER["steps"][0], {"dists": [{"atoms": [[1, 2, 1.0]]}]}]}
+        rc = main(["expect", "x2", "--config", write(tmp_path, "d.json", doc)])
+        assert rc == 2
+        # step 0's line is not printed first
+        assert capsys.readouterr().out == "error: steps[1]: dimension 2 != 1 of steps[0]\n"
+
 
 class TestClt:
     def test_classical_preset_converges(self, tmp_path, capsys):
@@ -248,21 +255,32 @@ class TestSolveAndConditions:
         assert field in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "command, doc, change",
+        "command, doc, section, change, field",
         [
-            pytest.param("clt", SMALL, {"dx": 1e-3}, id="preset-small-dx"),
-            pytest.param("clt", SMALL, {"dx": 1e-300}, id="preset-tiny-dx"),
-            pytest.param("solve", SOLVE, {"t_final": 1e12}, id="solve-long-horizon"),
-            pytest.param("solve", SOLVE, {"dx": 1e-6, "t_final": 1e-13}, id="solve-many-nodes"),
+            # too many node updates: the step count is named, with t_final, gp and dx that set it
+            pytest.param("clt", SMALL, "pde", {"dx": 1e-3}, "pde.t_final", id="preset-small-dx"),
+            pytest.param("clt", SMALL, "pde", {"dx": 1e-300}, "pde.t_final", id="preset-tiny-dx"),
+            pytest.param(
+                "solve", SOLVE, "pde", {"t_final": 1e12}, "pde.t_final", id="solve-long-horizon"
+            ),
+            pytest.param(
+                "solve", SOLVE, "gp", {"sigma2": [1e-300, 1e300]}, "pde.t_final", id="solve-wide-gp"
+            ),
+            # too many nodes, within the update cap: dx is named
+            pytest.param(
+                "solve", SOLVE, "pde", {"dx": 1e-6, "t_final": 1e-13}, "pde.dx", id="solve-many-nodes"
+            ),
         ],
     )
-    def test_pde_march_cap(self, tmp_path, capsys, command, doc, change):
+    def test_pde_march_cap(self, tmp_path, capsys, command, doc, section, change, field):
         bad = copy.deepcopy(doc)
-        bad["pde"].update(change)
+        bad[section].update(change)
         rc = main([command, "--config", write(tmp_path, "big.json", bad), "--out", str(tmp_path)])
         assert rc == 2
         out = capsys.readouterr().out
-        assert out.startswith("error: pde.dx = ") and "the caps are" in out
+        assert out.startswith(f"error: {field} = ") and "the caps are" in out
+        if field == "pde.t_final":
+            assert "steps of dt = " in out and "the CFL step of gp at dx = " in out
 
     def test_check_conditions(self, tmp_path, capsys):
         rc = main(["check-conditions", "--config", "g-perturbed", "--out", str(tmp_path)])

@@ -219,6 +219,15 @@ class TestCrossSpace:
         for s1, s2 in zip(model.steps, other.steps):
             assert expect(x2, s1) == pytest.approx(expect(x2, s2), abs=1e-15)
 
+    def test_reencoding_keeps_the_split_atom(self):
+        """Each re-encoded law has one atom more than its original, so the
+        recursion really sees another encoding of the same law."""
+        model = build_iid_family(GP_AMB, 2, 3, 3)
+        for seed in range(5):
+            other = reencode_model(model, seed=seed)
+            for s1, s2 in zip(model.steps, other.steps):
+                assert sorted(d.n_atoms + 1 for d in s1.dists) == sorted(d.n_atoms for d in s2.dists)
+
     def test_length_validation(self):
         model = build_iid_family(GP_AMB, 2, 2, 2)
         with pytest.raises(ValidationError):

@@ -99,7 +99,7 @@ class TestConfigParsers:
         section = {"x_range": [-12.5, 12.5], "dx": 0.01}
         gp = load_preset("g-ambiguous").gp
         assert parse_solver_config(section, gp, 1.0).n_intervals == 2500
-        with pytest.raises(ValidationError, match="pde.dx = 0.0025 asks for"):
+        with pytest.raises(ValidationError, match=r"^pde.t_final = 1.0 asks for .* at dx = 0.0025,"):
             parse_solver_config({**section, "dx": 0.0025}, gp, 1.0)
 
     def test_nested_config_defaults(self):

@@ -21,7 +21,8 @@ from gexpect import (
 from gexpect.clt import build_iid_family
 from gexpect.functions import ramp, square
 from gexpect.io import load_preset
-from gexpect.nested import GRID_NODE_CAP, NestedEvalConfig, _increments, _per_step, _stencils
+from gexpect.nested import GRID_NODE_CAP, NestedEvalConfig, _stencils
+from gexpect.scenarios import stack_sets
 from gexpect.verify import random_lattice_model
 
 LATTICE = NestedEvalConfig(mode="exact_lattice")
@@ -48,6 +49,8 @@ def test_steps_of_one_dimension_only():
             nested_expect(square(), [flat, flat, pair], 3, cfg)
     with pytest.raises(ValidationError, match="^step 3 has dimension 2, expected 1$"):
         bruteforce_nested(square(), [flat, flat, pair], 3)
+    with pytest.raises(ValidationError, match="^step 3 has dimension 2, expected 1$"):
+        count_policies([flat, flat, pair], 3)
 
 
 def test_single_step_reduces_to_expect():
@@ -245,9 +248,33 @@ def test_flat_stencils_match_the_per_law_terms(model, exact):
     steps, n, _, (lo, hi, num) = model
     distinct = list({id(s): s for s in steps}.values())
     h = (hi - lo) / (num - 1)
-    inc, w, starts, firsts = _increments(distinct, 0.5, 0.25)
-    stencils, _ = _stencils(inc, w, starts, h, exact, num)
-    assert _per_step(stencils, firsts) == reference_stencils(distinct, 0.5, 0.25, h, exact, num)
+    points, w, starts, firsts = stack_sets(distinct)
+    inc = 0.5 * points[:, 0] + 0.25 * (points[:, 1] if points.shape[1] == 2 else 0.0)
+    stencils, _ = _stencils(inc, w, starts, firsts, h, exact, num)
+    assert stencils == reference_stencils(distinct, 0.5, 0.25, h, exact, num)
+
+
+def test_oracle_does_not_share_the_step_cuts(monkeypatch):
+    """A ``stack_sets`` that cuts the stacked laws into steps at the wrong
+    places changes the recursion's value but not the oracle's, which reads
+    each step's laws itself. The steps hold 1 and 3 scenarios, so cutting at
+    the scenario counts taken in reverse order (3, then 1) moves two laws."""
+    one = ScenarioSet([DiscreteDistribution([((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5)])])
+    three = ScenarioSet(
+        [DiscreteDistribution([((s, 0.0), 0.5), ((-s, 0.0), 0.5)]) for s in (1.0, 2.0, 3.0)]
+    )
+    steps = [one, three]
+    phi = TestFunction(lambda s: np.cos(s) + 0.3 * s, dim=1)
+    dp, brute = nested_expect(phi, steps, 2, LATTICE), bruteforce_nested(phi, steps, 2)
+
+    def wrong_cut(sets):
+        points, weights, starts, _ = stack_sets(sets)
+        counts = [len(s) for s in reversed(sets)]
+        return points, weights, starts, list(itertools.accumulate(counts[:-1], initial=0))
+
+    monkeypatch.setattr("gexpect.nested.stack_sets", wrong_cut)
+    assert bruteforce_nested(phi, steps, 2) == brute
+    assert nested_expect(phi, steps, 2, LATTICE) != dp
 
 
 def test_exact_lattice_g_ambiguous_n256():
@@ -305,9 +332,11 @@ class TestValidation:
     def test_both_evaluators_check_the_step_count(self):
         steps = two_sigma_steps(2)
         for evaluate in (lambda n: nested_expect(square(), steps, n, LATTICE),
-                         lambda n: bruteforce_nested(square(), steps, n)):
-            with pytest.raises(ValidationError, match="^n must be >= 1$"):
-                evaluate(0)
+                         lambda n: bruteforce_nested(square(), steps, n),
+                         lambda n: count_policies(steps, n)):  # refused as the evaluators refuse
+            for n in (0, -3):
+                with pytest.raises(ValidationError, match="^n must be >= 1$"):
+                    evaluate(n)
             with pytest.raises(ValidationError, match="^model has 2 steps, needs at least 3$"):
                 evaluate(3)
 
