@@ -23,16 +23,16 @@ from gexpect.verify import random_lattice_model
 
 lattice = NestedEvalConfig(mode="exact_lattice")
 
-# Two steps of a +/- sigma coin with sigma ambiguous in {1, 2}. With unit
-# step weights each step contributes its worst-case variance 4, so the
-# nested value of the squared sum is 8.
+# Two steps of a +/- sigma coin with sigma ambiguous in {1, 2}. The sum is
+# S = (X1 + X2)/sqrt(2): each step contributes its worst-case variance 4
+# times the squared weight 1/2, so the nested value of S^2 is 4.
 steps = [
     ScenarioSet(
         [DiscreteDistribution([((s, 0.0), 0.5), ((-s, 0.0), 0.5)]) for s in (1.0, 2.0)]
     )
 ] * 2
-print("nested value of (X1 + X2)^2:", nested_expect(square(), steps, 2, lattice, delta=1.0))
-print("adapted-policy maximum:     ", bruteforce_nested(square(), steps, 2, delta=1.0))
+print("nested value of S^2:        ", nested_expect(square(), steps, 2, lattice))
+print("adapted-policy maximum:     ", bruteforce_nested(square(), steps, 2))
 print("adapted policies enumerated:", count_policies(steps, 2))
 
 # Random small models: the backward recursion and the policy enumeration
@@ -57,7 +57,7 @@ coin_or_zero = ScenarioSet(
     ]
 )
 phi = TestFunction(lambda s: -(s * s), dim=1, name="-s^2")
-fwd = nested_expect(phi, [sign_ambiguous, coin_or_zero], 2, lattice, delta=1.0)
-rev = nested_expect(phi, [coin_or_zero, sign_ambiguous], 2, lattice, delta=1.0)
+fwd = nested_expect(phi, [sign_ambiguous, coin_or_zero], 2, lattice)
+rev = nested_expect(phi, [coin_or_zero, sign_ambiguous], 2, lattice)
 print(f"\nworst case of -(S^2), ambiguity first:  {fwd}")
 print(f"worst case of -(S^2), ambiguity second: {rev}")

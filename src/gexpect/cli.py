@@ -2,13 +2,14 @@
 
 Subcommands: ``expect``, ``clt``, ``verify``, ``solve``, ``check-conditions``.
 Exit codes are a stable contract: 0 success, 1 convergence/verification
-criterion missed, 2 validation error.
+criterion missed (or a reader of stdout gone, ended silently), 2 validation
+error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from pathlib import Path
 
@@ -152,27 +153,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {
+        "expect": lambda: cmd_expect(args.config, args.function),
+        "clt": lambda: cmd_clt(args.config, args.out, args.tol),
+        "verify": lambda: cmd_verify(args.suite, args.seed),
+        "solve": lambda: cmd_solve(args.config, args.out),
+        "check-conditions": lambda: cmd_check_conditions(args.config, args.out),
+    }
     try:
-        if args.command == "expect":
-            return cmd_expect(args.config, args.function)
-        if args.command == "clt":
-            return cmd_clt(args.config, args.out, args.tol)
-        if args.command == "verify":
-            return cmd_verify(args.suite, args.seed)
-        if args.command == "solve":
-            return cmd_solve(args.config, args.out)
-        if args.command == "check-conditions":
-            return cmd_check_conditions(args.config, args.out)
-        raise AssertionError(f"unhandled command {args.command}")
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}")
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}")
-        return 2
-    except (ValidationError, NumericsError) as exc:
-        print(f"error: {exc}")
-        return 2
+        try:
+            code = commands[args.command]()
+        except BrokenPipeError:
+            raise
+        except (OSError, ValidationError, NumericsError) as exc:
+            print(f"error: {exc}")
+            code = 2
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes nowhere, and quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

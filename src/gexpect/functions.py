@@ -85,16 +85,18 @@ def ramp(clip: float | None = None) -> TestFunction:
     return TestFunction(lambda x: np.clip(x, 0.0, clip), 1, f"relu_clip:{clip:g}")
 
 
-def coord(index: int, dim: int = 2) -> TestFunction:
-    if not 0 <= index < dim:
+def coord(index: int) -> TestFunction:
+    """Coordinate ``index`` (0 for x, 1 for y) of a point in the plane."""
+    if not 0 <= index < 2:
         raise ValidationError("coordinate index out of range")
-    return TestFunction(lambda *cs: cs[index], dim, "xy"[index])
+    return TestFunction(lambda *cs: cs[index], 2, "xy"[index])
 
 
-def coord_abs_power(index: int, p: float, dim: int = 2) -> TestFunction:
-    if not 0 <= index < dim:
+def coord_abs_power(index: int, p: float) -> TestFunction:
+    """|coordinate ``index``|^p of a point in the plane."""
+    if not 0 <= index < 2:
         raise ValidationError("coordinate index out of range")
-    return TestFunction(lambda *cs: np.abs(cs[index]) ** p, dim, f"|{'xy'[index]}|^{p:g}")
+    return TestFunction(lambda *cs: np.abs(cs[index]) ** p, 2, f"|{'xy'[index]}|^{p:g}")
 
 
 def abs_product() -> TestFunction:

@@ -144,9 +144,9 @@ def load_steps_document(doc: dict) -> tuple[list[ScenarioSet], str]:
     return steps, str(doc.get("label", ""))
 
 
-def parse_gparams(obj: dict, where: str = "gp") -> GParams:
-    known_keys(obj, ("mu", "sigma2"), where)
-    return _prefixed(f"{where}.", GParams, *_pair(obj, "mu", where), *_pair(obj, "sigma2", where))
+def parse_gparams(obj: dict) -> GParams:
+    known_keys(obj, ("mu", "sigma2"), "gp")
+    return _prefixed("gp.", GParams, *_pair(obj, "mu", "gp"), *_pair(obj, "sigma2", "gp"))
 
 
 def parse_solver_config(obj: dict, gp: GParams, t_final: float | None) -> SolverConfig:
@@ -160,12 +160,12 @@ def parse_solver_config(obj: dict, gp: GParams, t_final: float | None) -> Solver
     return _prefixed("pde.", SolverConfig, lo, hi, dx, stable_dt(gp, dx, t_final), t_final)
 
 
-def parse_nested_config(obj: dict, where: str = "dp") -> NestedEvalConfig:
-    known_keys(obj, ("x_range", "num_points", "mode", "edge"), where)
-    num = _integer(_require(obj, "num_points", where), f"{where}.num_points", 2, GRID_NODE_CAP)
-    grid = (*_pair(obj, "x_range", where), num)
+def parse_nested_config(obj: dict) -> NestedEvalConfig:
+    known_keys(obj, ("x_range", "num_points", "mode", "edge"), "dp")
+    num = _integer(_require(obj, "num_points", "dp"), "dp.num_points", 2, GRID_NODE_CAP)
+    grid = (*_pair(obj, "x_range", "dp"), num)
     mode, edge = str(obj.get("mode", "grid_interp")), str(obj.get("edge", "clamp"))
-    return _prefixed(f"{where}.", NestedEvalConfig, grid, mode, edge)
+    return _prefixed("dp.", NestedEvalConfig, grid, mode, edge)
 
 
 def eps_from_rule(rule: dict, count: int) -> np.ndarray:
@@ -266,8 +266,17 @@ def parse_preset(doc: dict) -> ExperimentPreset:
 
 
 def read_json(path: str | Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The JSON object in the UTF-8 file at ``path``; ``ValidationError`` names the file
+    if it cannot be decoded (not UTF-8, invalid or too deeply nested JSON) or is no object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{path}: invalid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path}: cannot decode the document: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: the document must be a JSON object")
     return doc
@@ -279,9 +288,10 @@ def packaged_preset_names() -> list[str]:
 
 
 def load_preset(path_or_name: str | Path) -> ExperimentPreset:
-    """Load a preset from a filesystem path or by shipped-preset name."""
+    """Load a preset from a file or by shipped-preset name; a path that is
+    not a file (a directory, say) does not hide the shipped preset."""
     p = Path(path_or_name)
-    if p.exists():
+    if p.is_file():
         return parse_preset(read_json(p))
     packaged = resources.files("gexpect").joinpath("presets", f"{path_or_name}.json")
     if packaged.is_file():

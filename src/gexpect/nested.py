@@ -46,7 +46,7 @@ from .errors import ValidationError
 from .functions import TestFunction
 from .scenarios import ScenarioSet, stack_sets
 
-POLICY_CAP_DEFAULT = 10**6
+POLICY_CAP = 10**6
 GRID_NODE_CAP = 2_000_000
 _LATTICE_REL_TOL = 1e-9
 # largest plausible increment-to-spacing dynamic range; the tolerant GCD of
@@ -99,11 +99,9 @@ def _first_steps(model, n: int) -> tuple[ScenarioSet, ...]:
     return steps
 
 
-def _step_weights(n: int, delta: float | None) -> tuple[float, float]:
-    d = 1.0 / n if delta is None else float(delta)
-    if d <= 0:
-        raise ValidationError("delta must be positive")
-    return math.sqrt(d), d
+def _step_weights(n: int) -> tuple[float, float]:
+    """The weights (sqrt(1/n), 1/n) of the theorem's sum S_n/sqrt(n) + T_n/n."""
+    return math.sqrt(1.0 / n), 1.0 / n
 
 
 def _float_gcd(a: float, b: float, tol: float) -> float:
@@ -173,22 +171,14 @@ def _march(values: np.ndarray, stencils, pad: int) -> np.ndarray:
     return values
 
 
-def nested_expect(
-    phi_of_sum: TestFunction,
-    model,
-    n: int,
-    cfg: NestedEvalConfig,
-    delta: float | None = None,
-) -> float:
-    """Nested worst-case value of phi(sum of wx*X_i + wy*Y_i) over n steps.
-
-    By default the step weights are (sqrt(delta), delta) with delta = 1/n;
-    pass ``delta`` to override the normalization.
+def nested_expect(phi_of_sum: TestFunction, model, n: int, cfg: NestedEvalConfig) -> float:
+    """Nested worst-case value of phi(sum of wx*X_i + wy*Y_i) over n steps,
+    with the step weights (wx, wy) = (sqrt(1/n), 1/n) of S_n/sqrt(n) + T_n/n.
     """
     if phi_of_sum.dim != 1:
         raise ValidationError("phi_of_sum must be a function of the scalar sum")
     steps = _first_steps(model, n)
-    wx, wy = _step_weights(n, delta)
+    wx, wy = _step_weights(n)
     slot = {}  # each distinct step object's position, in order of first use
     order = [slot.setdefault(id(step), len(slot)) for step in steps]
     points, w, starts, firsts = stack_sets(list({id(step): step for step in steps}.values()))
@@ -229,27 +219,23 @@ def count_policies(model, n: int) -> int:
     return count
 
 
-def bruteforce_nested(
-    phi_of_sum: TestFunction,
-    model,
-    n: int,
-    cap: int = POLICY_CAP_DEFAULT,
-    delta: float | None = None,
-) -> float:
+def bruteforce_nested(phi_of_sum: TestFunction, model, n: int) -> float:
     """Exact oracle: max over adapted policies of the classical expectation.
 
     An adapted policy assigns one scenario to every history node of the
     step tree. This enumerates the classical expectation of every policy
     (no backward max/expectation interchange) and takes the maximum at the
-    end, so it is an independent check of ``nested_expect``.
+    end, so it is an independent check of ``nested_expect``. The step
+    weights are those of ``nested_expect``, and more than ``POLICY_CAP``
+    policies are refused.
     """
     if phi_of_sum.dim != 1:
         raise ValidationError("phi_of_sum must be a function of the scalar sum")
     steps = _first_steps(model, n)
     n_policies = count_policies(steps, n)
-    if n_policies > cap:
-        raise ValidationError(f"policy count {n_policies} exceeds cap {cap}")
-    wx, wy = _step_weights(n, delta)
+    if n_policies > POLICY_CAP:
+        raise ValidationError(f"policy count {n_policies} exceeds cap {POLICY_CAP}")
+    wx, wy = _step_weights(n)
     laws = [
         [(wx * d.points[:, 0] + wy * (d.points[:, 1] if d.dim == 2 else 0.0), d.weights)
          for d in step.dists]

@@ -130,9 +130,6 @@ class ScenarioSet:
     def __len__(self) -> int:
         return self.starts.size
 
-    def __iter__(self):
-        return iter(self.dists)
-
     def __repr__(self) -> str:
         lbl = f" {self.label!r}" if self.label else ""
         return f"ScenarioSet({len(self)} dists, dim={self.dim}{lbl})"

@@ -30,11 +30,11 @@ from .scenarios import DiscreteDistribution, ScenarioSet, holder_check, verify_a
 # random instance generators
 # ---------------------------------------------------------------------------
 
-def random_scenario_set(rng: np.random.Generator, dim: int, max_dists: int = 4,
-                        max_atoms: int = 5, radius: float = 3.0) -> ScenarioSet:
+def random_scenario_set(rng: np.random.Generator, dim: int, radius: float = 3.0) -> ScenarioSet:
+    """One to four laws of one to five atoms each, points uniform in [-radius, radius]^dim."""
     dists = []
-    for _ in range(int(rng.integers(1, max_dists + 1))):
-        n_atoms = int(rng.integers(1, max_atoms + 1))
+    for _ in range(int(rng.integers(1, 5))):
+        n_atoms = int(rng.integers(1, 6))
         pts = rng.uniform(-radius, radius, size=(n_atoms, dim))
         wts = rng.dirichlet(np.ones(n_atoms))
         atoms = [(tuple(p), float(w)) for p, w in zip(pts, wts)]
@@ -55,13 +55,12 @@ def random_poly_function(rng: np.random.Generator) -> TestFunction:
 _SAFE_SHAPES = {1: [(3, 3)], 2: [(3, 3)], 3: [(3, 2), (2, 3)], 4: [(2, 2)]}
 
 
-def random_lattice_model(rng: np.random.Generator, n: int | None = None):
-    """A small model whose step increments lie on a common lattice for the
-    default weights (sqrt(1/n), 1/n): x atoms are integer multiples of
+def random_lattice_model(rng: np.random.Generator):
+    """A small model of 1 to 4 steps whose increments lie on a common lattice
+    for the weights (sqrt(1/n), 1/n): x atoms are integer multiples of
     g*sqrt(n) and y atoms integer multiples of g*n, so every increment is an
     integer multiple of g. Returns (steps, n)."""
-    if n is None:
-        n = int(rng.integers(1, 5))
+    n = int(rng.integers(1, 5))
     k_cap, a_cap = _SAFE_SHAPES[n][int(rng.integers(len(_SAFE_SHAPES[n])))]
     g = float(rng.choice([0.5, 0.25, 0.125]))
     combos = [(u, v) for u in range(-3, 4) for v in range(-2, 3)]
@@ -152,14 +151,16 @@ _SEMIGROUP_CASES = (
 )
 
 
-def semigroup_suite(dx: float = 0.02, threshold: float = 1e-2, seed: int = 0) -> Report:
-    """Two-stage vs single-stage discrepancy at a = b = sqrt(1/2), plus the
-    refinement contraction under (dx, dt) -> (dx/2, dt/4). Deterministic:
-    ``seed`` is accepted so every suite shares one signature."""
+def semigroup_suite(seed: int = 0) -> Report:
+    """Two-stage vs single-stage discrepancy at a = b = sqrt(1/2), at most
+    1e-2 at dx = 0.02, plus the refinement contraction under (dx, dt) ->
+    (dx/2, dt/4). Deterministic: ``seed`` is accepted so every suite shares
+    one signature."""
     from .functions import cosine
 
     result = Report("semigroup")
     a = b = math.sqrt(0.5)
+    dx, threshold = 0.02, 1e-2
     phi = cosine()
     for label, gp, half in _SEMIGROUP_CASES:
         coarse_cfg = SolverConfig(-half, half, dx, stable_dt(gp, dx, 1.0), 1.0)

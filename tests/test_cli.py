@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -32,6 +36,18 @@ SMALL = {
     "pde": {"x_range": [-6, 6], "dx": 0.5},
     "tolerance": 0.1,
 }
+
+
+# law A is +/-(1, 2), law B is (2, -1) or (0, 3), every atom of weight 1/2
+PAIRS = {"steps": [{"dists": [{"atoms": [[1, 2, 0.5], [-1, -2, 0.5]]},
+                              {"atoms": [[2, -1, 0.5], [0, 3, 0.5]]}]}]}
+UNDECODABLE = {
+    "invalid-json": (b'{"a": 1', "invalid JSON: line 1 column 8: Expecting ',' delimiter"),
+    "not-utf-8": (b'\xff\xfe{"a":1}', "cannot decode the document: 'utf-8' codec can't decode"),
+    "nested-too-deep": (b"[" * 100_000 + b"]" * 100_000, "cannot decode the document: maximum recursion"),
+}
+if hasattr(sys, "set_int_max_str_digits"):  # the cap on integer digits is new in 3.10.7
+    UNDECODABLE["integer-too-long"] = (b'{"a": ' + b"1" * 5000 + b"}", "cannot decode the document: Exceeds")
 
 
 def write(tmp_path, name, doc):
@@ -85,6 +101,18 @@ class TestExpect:
         assert rc == 2
         out = capsys.readouterr().out
         assert "line" in out and "column" in out
+
+    @pytest.mark.parametrize(
+        "function, name, upper, lower",
+        [("x", "x", 1.0, 0.0), ("y", "y", 1.0, 0.0), ("x2", "|x|^2", 2.0, 1.0),
+         ("y2", "|y|^2", 5.0, 4.0), ("abs3_x", "|x|^3", 4.0, 1.0), ("abs3_y", "|y|^3", 14.0, 8.0),
+         ("absxy", "|xy|", 2.0, 1.0), ("const", "const:1", 1.0, 1.0)],
+    )
+    def test_two_dimensional_functions(self, tmp_path, capsys, function, name, upper, lower):
+        assert main(["expect", function, "--config", write(tmp_path, "pairs.json", PAIRS)]) == 0
+        e = re.escape(name)
+        got = re.fullmatch(rf"E\[{e}\] = (\S+)   -E\[-{e}\] = (\S+)\n", capsys.readouterr().out)
+        assert (float(got[1]), float(got[2])) == (upper, lower)
 
     def test_unknown_function(self, tmp_path, capsys):
         rc = main(["expect", "sinh", "--config", write(tmp_path, "r.json", RADEMACHER)])
@@ -290,6 +318,40 @@ class TestSolveAndConditions:
 
     def test_missing_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.json", "--out", "/tmp"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command", [["expect", "x2"], ["solve"], ["clt"], ["check-conditions"]], ids=lambda c: c[0]
+)
+@pytest.mark.parametrize("content, message", UNDECODABLE.values(), ids=list(UNDECODABLE))
+def test_undecodable_document_exits_2(tmp_path, capsys, command, content, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main([*command, "--config", str(path)]) == 2
+    assert capsys.readouterr().out.startswith(f"error: {path}: {message}")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("doc", ["r.json", "missing.json"], ids=["result", "error"])
+def test_closed_stdout_ends_quietly(tmp_path, buffered, doc):
+    """A reader gone before the first write ends the run with status 1 and
+    nothing on stderr, whether the line is a result or an error message."""
+    write(tmp_path, "r.json", RADEMACHER)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "gexpect.cli", "expect", "x2", "--config", str(tmp_path / doc)],
+            stdout=writer, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(writer)
+    assert (run.returncode, run.stderr.decode()) == (1, "")
 
 
 JSON_VALUES = st.recursive(

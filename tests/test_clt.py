@@ -25,7 +25,7 @@ from gexpect import (
     run_clt,
     stable_dt,
 )
-from gexpect.clt import EPS_MAX, SequenceModel, reencode_model
+from gexpect.clt import EPS_MAX, ConvergenceReport, SequenceModel, reencode_model
 from gexpect.functions import const, coord, coord_abs_power, cosine, ramp
 from gexpect.nested import NestedEvalConfig
 from gexpect.scenarios import DiscreteDistribution, ScenarioSet
@@ -230,8 +230,30 @@ class TestCrossSpace:
 
     def test_length_validation(self):
         model = build_iid_family(GP_AMB, 2, 2, 2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^model has 2 steps, needs at least 5$"):
             cross_space_check(model, cosine(), 5, DP_SMALL)
+
+
+class TestModelRefusals:
+    def test_sequence_model_needs_steps_and_matching_references(self):
+        steps = build_iid_family(GP_AMB, 1, 1, 2).steps
+        with pytest.raises(ValidationError, match="^a sequence model needs at least one step$"):
+            SequenceModel((), GP_AMB)
+        with pytest.raises(ValidationError, match="^reference steps must match the step count$"):
+            SequenceModel(steps, GP_AMB, ref_steps=steps[:1])
+
+    def test_lhs_of_a_missing_n(self):
+        report = ConvergenceReport([(8, 0.5, 0.25, 0.25)])
+        assert report.lhs(8) == 0.5
+        with pytest.raises(ValidationError, match="^no row for n=16$"):
+            report.lhs(16)
+
+    def test_one_dimensional_steps_are_refused(self):
+        flat = (ScenarioSet([DiscreteDistribution.symmetric_pair(1.0)]),) * 2
+        with pytest.raises(ValidationError, match="^a perturbed family needs 2-d base steps$"):
+            build_perturbed_family(SequenceModel(flat, GP_AMB), [0.0, 0.0])
+        with pytest.raises(ValidationError, match="^the coupling needs 2-d steps and references$"):
+            check_conditions(SequenceModel(flat, GP_AMB, ref_steps=flat))
 
 
 # ---------------------------------------------------------------------------

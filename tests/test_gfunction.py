@@ -1,6 +1,7 @@
 """Corner functional G: evaluation, ellipticity modulus, structural properties."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,11 @@ class TestGParamsValidation:
     def test_zero_variance_floor_rejected(self):
         with pytest.raises(ValidationError):
             GParams(0.0, 0.0, 0.0, 1.0)
+
+    def test_bounds_must_be_finite(self):
+        for bounds in ((math.nan, 0.0, 1.0, 1.0), (0.0, math.inf, 1.0, 1.0), (0.0, 0.0, 1.0, math.inf)):
+            with pytest.raises(ValidationError, match="^mu and sigma2 must be finite$"):
+                GParams(*bounds)
 
     def test_inverted_variance_interval(self):
         with pytest.raises(ValidationError):

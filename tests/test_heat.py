@@ -21,7 +21,7 @@ from gexpect import (
     stable_dt,
     value_at,
 )
-from gexpect.functions import TestFunction, const, cosine, ramp
+from gexpect.functions import TestFunction, const, coord, cosine, ramp
 from gexpect.heat import _aligned, _march
 from gexpect.io import parse_solver_config
 
@@ -309,6 +309,17 @@ class TestConfigAndErrors:
         cfg = SolverConfig(-6.0, 6.0, 0.1, 0.02, 1.0)
         with pytest.raises(ValidationError, match="CFL"):
             solve(AMB, cosine(), cfg)
+
+    def test_range_and_steps_must_be_positive(self):
+        with pytest.raises(ValidationError, match="^x_range needs x_lo < x_hi$"):
+            SolverConfig(1.0, 1.0, 0.1, 1e-3, 1.0)
+        for dx, dt, t_final in ((0.0, 1e-3, 1.0), (0.1, -1e-3, 1.0), (0.1, 1e-3, 0.0)):
+            with pytest.raises(ValidationError, match="^dx, dt and t_final must be positive$"):
+                SolverConfig(-1.0, 1.0, dx, dt, t_final)
+
+    def test_solve_needs_a_function_of_one_variable(self):
+        with pytest.raises(ValidationError, match="^the solver evolves functions of one variable$"):
+            solve(DEG, coord(0), cfg_for(DEG, 6.0, dx=0.5))
 
     def test_grid_must_divide(self):
         with pytest.raises(ValidationError):

@@ -17,6 +17,7 @@ from gexpect.io import (
     parse_nested_config,
     parse_preset,
     parse_solver_config,
+    read_json,
     write_condition_report_json,
     write_convergence_csv,
     write_value_function_csv,
@@ -61,6 +62,8 @@ class TestStepsDocument:
             load_steps_document({"steps": []})
         with pytest.raises(ValidationError):
             load_steps_document({"steps": [{"dists": []}]})
+        with pytest.raises(ValidationError, match="^steps\\[0\\].dists\\[0\\]: 'atoms' must be a nonempty list$"):
+            load_steps_document({"steps": [{"dists": [{"atoms": []}]}]})
         with pytest.raises(ValidationError, match="missing key"):
             load_steps_document({"label": "nothing"})
 
@@ -150,6 +153,21 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValidationError, match="shipped"):
             load_preset("no-such-preset")
+
+    def test_a_directory_does_not_hide_a_shipped_preset(self, tmp_path, monkeypatch):
+        """``gexpect clt --config g-ambiguous --out g-ambiguous`` leaves such a directory."""
+        (tmp_path / "g-ambiguous").mkdir()
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert load_preset("g-ambiguous").name == "g-ambiguous"
+        with pytest.raises(ValidationError, match="is neither a file nor a shipped preset"):
+            load_preset("out")
+
+    def test_document_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValidationError, match="list.json: the document must be a JSON object$"):
+            read_json(path)
 
     def test_preset_validation(self):
         with pytest.raises(ValidationError, match="family"):

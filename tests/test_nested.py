@@ -19,9 +19,9 @@ from gexpect import (
     nested_expect,
 )
 from gexpect.clt import build_iid_family
-from gexpect.functions import ramp, square
+from gexpect.functions import coord, ramp, square
 from gexpect.io import load_preset
-from gexpect.nested import GRID_NODE_CAP, NestedEvalConfig, _stencils
+from gexpect.nested import GRID_NODE_CAP, POLICY_CAP, NestedEvalConfig, _stencils
 from gexpect.scenarios import stack_sets
 from gexpect.verify import random_lattice_model
 
@@ -55,16 +55,16 @@ def test_steps_of_one_dimension_only():
 
 def test_single_step_reduces_to_expect():
     steps = two_sigma_steps(1)
-    # delta = 1, so the increment is x*1 + y*1
+    # n = 1, so both step weights are 1 and the increment is x + y
     direct = expect(TestFunction(lambda x, y: (x + y) ** 2, dim=2), steps[0])
     assert nested_expect(square(), steps, 1, LATTICE) == pytest.approx(direct, abs=1e-14)
 
 
 def test_two_step_worst_case_variance():
-    # delta = 1 makes each step contribute the worst-case variance 4
+    # each step contributes its worst-case variance 4, times the weight^2 = 1/2
     steps = two_sigma_steps(2)
-    assert nested_expect(square(), steps, 2, LATTICE, delta=1.0) == pytest.approx(8.0, abs=1e-12)
-    assert bruteforce_nested(square(), steps, 2, delta=1.0) == pytest.approx(8.0, abs=1e-12)
+    assert nested_expect(square(), steps, 2, LATTICE) == pytest.approx(4.0, abs=1e-12)
+    assert bruteforce_nested(square(), steps, 2) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_matches_bruteforce_on_random_models():
@@ -97,7 +97,7 @@ def test_single_scenario_equals_product_measure():
 
 def test_relabeling_invariance():
     rng = np.random.default_rng(12)
-    steps, n = random_lattice_model(rng, n=3)
+    steps, n = random_lattice_model(rng)
     phi = TestFunction(lambda s: np.cos(s) + 0.2 * s, dim=1)
     v = nested_expect(phi, steps, n, LATTICE)
     relabeled = []
@@ -123,9 +123,9 @@ def test_nesting_order_is_directional():
         ]
     )
     phi = TestFunction(lambda s: -(s * s), dim=1, name="-s^2")
-    forward = nested_expect(phi, [sign_ambiguous, rademacher_or_zero], 2, LATTICE, delta=1.0)
-    swapped = nested_expect(phi, [rademacher_or_zero, sign_ambiguous], 2, LATTICE, delta=1.0)
-    assert forward == pytest.approx(-1.0, abs=1e-14)
+    forward = nested_expect(phi, [sign_ambiguous, rademacher_or_zero], 2, LATTICE)
+    swapped = nested_expect(phi, [rademacher_or_zero, sign_ambiguous], 2, LATTICE)
+    assert forward == pytest.approx(-0.5, abs=1e-14)
     assert swapped == pytest.approx(0.0, abs=1e-14)
 
 
@@ -141,12 +141,11 @@ def test_grid_interp_halving_changes_value_by_at_most_lip_times_spacing():
     assert abs(coarse - fine) <= 1.0 * spacing  # ramp is 1-Lipschitz
 
 
-def interp_grid_value(phi, steps, n, cfg, delta=None):
+def interp_grid_value(phi, steps, n, cfg):
     """The grid recursion as one np.interp call per atom per step, with the
     strict coverage check: the reference for the stencil march."""
     lo, hi, num = cfg.state_grid
-    d = 1.0 / n if delta is None else delta
-    wx, wy = math.sqrt(d), d
+    wx, wy = math.sqrt(1.0 / n), 1.0 / n
     incs = [
         [(wx * dist.points[:, 0] + wy * dist.points[:, 1], dist.weights) for dist in step.dists]
         for step in steps[:n]
@@ -179,7 +178,7 @@ def grid_models(draw):
     num = draw(st.integers(2, 60))
     h = (hi - lo) / (num - 1)
     coord = st.one_of(
-        st.integers(-8, 8).map(lambda j: j * h),  # on grid nodes when delta = 1
+        st.integers(-8, 8).map(lambda j: j * h),  # on grid nodes when n = 1 and y = 0
         st.floats(-2.0, 2.0),
         st.floats(-20.0, 20.0),  # past either edge of the grid
     )
@@ -195,7 +194,7 @@ def grid_models(draw):
     ]
     n = draw(st.integers(1, 6))
     steps = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
-    return steps, n, draw(st.sampled_from([None, 1.0])), (lo, hi, num)
+    return steps, n, (lo, hi, num)
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,20 +206,20 @@ def grid_models(draw):
     b=st.floats(-1.0, 1.0),
 )
 def test_grid_interp_matches_interp_reference(model, edge, cover, a, b):
-    steps, n, delta, (lo, hi, num) = model
+    steps, n, (lo, hi, num) = model
     if cover:  # widen the grid past every reachable partial sum
-        wx, wy = (math.sqrt(1.0 / n), 1.0 / n) if delta is None else (1.0, 1.0)
+        wx, wy = math.sqrt(1.0 / n), 1.0 / n
         reach = sum(np.abs(wx * s.points[:, 0] + wy * s.points[:, 1]).max() for s in steps)
         lo, hi = min(lo, -reach - 0.1), max(hi, reach + 0.1)
     cfg = NestedEvalConfig((lo, hi, num), "grid_interp", edge)
     phi = TestFunction(lambda s: a * s + b * np.cos(3.0 * s) + np.abs(s - 0.3), dim=1)
     try:
-        want = interp_grid_value(phi, steps, n, cfg, delta)
+        want = interp_grid_value(phi, steps, n, cfg)
     except ValidationError:
         with pytest.raises(ValidationError, match="does not cover"):
-            nested_expect(phi, steps, n, cfg, delta=delta)
+            nested_expect(phi, steps, n, cfg)
         return
-    assert nested_expect(phi, steps, n, cfg, delta=delta) == pytest.approx(want, abs=1e-12)
+    assert nested_expect(phi, steps, n, cfg) == pytest.approx(want, abs=1e-12)
 
 
 def reference_stencils(steps, wx, wy, h, exact, num):
@@ -245,7 +244,7 @@ def reference_stencils(steps, wx, wy, h, exact, num):
 @given(model=grid_models(), exact=st.booleans())
 def test_flat_stencils_match_the_per_law_terms(model, exact):
     """Term for term, so the march sums the same products in the same order."""
-    steps, n, _, (lo, hi, num) = model
+    steps, _, (lo, hi, num) = model
     distinct = list({id(s): s for s in steps}.values())
     h = (hi - lo) / (num - 1)
     points, w, starts, firsts = stack_sets(distinct)
@@ -300,8 +299,8 @@ def test_exact_lattice_covers_intermediate_partial_sums():
     phi = TestFunction(lambda s: s + 0.5 * np.cos(2.0 * s), dim=1)
     for steps in ([up, down], [up, up, down, down]):
         n = len(steps)
-        assert nested_expect(phi, steps, n, LATTICE, delta=1.0) == pytest.approx(
-            bruteforce_nested(phi, steps, n, delta=1.0), abs=ORACLE_TOL
+        assert nested_expect(phi, steps, n, LATTICE) == pytest.approx(
+            bruteforce_nested(phi, steps, n), abs=ORACLE_TOL
         )
 
 
@@ -348,7 +347,23 @@ class TestValidation:
             ]
         )
         with pytest.raises(ValidationError, match="lattice"):
-            nested_expect(square(), [step], 1, LATTICE, delta=1.0)
+            nested_expect(square(), [step], 1, LATTICE)
+
+    def test_lattice_rejects_near_multiples(self):
+        """0.5 and 0.25 + 3e-10 pass the tolerant GCD with spacing 0.25 + 3e-10,
+        but 0.5 lies 2.4e-9 spacings off that lattice, past the 2e-9 allowed."""
+        step = ScenarioSet(
+            [DiscreteDistribution.point_mass((0.5, 0.0)), DiscreteDistribution.point_mass((0.25 + 3e-10, 0.0))]
+        )
+        with pytest.raises(ValidationError, match="^reachable partial sums do not lie on a common lattice$"):
+            nested_expect(square(), [step], 1, LATTICE)
+
+    def test_phi_must_be_a_function_of_the_sum(self):
+        steps = two_sigma_steps(1)
+        for evaluate in (lambda phi: nested_expect(phi, steps, 1, LATTICE),
+                         lambda phi: bruteforce_nested(phi, steps, 1)):
+            with pytest.raises(ValidationError, match="^phi_of_sum must be a function of the scalar sum$"):
+                evaluate(coord(0))
 
     def test_lattice_width_cap(self):
         """Increments 1 and 2**-20 pass the spacing-ratio cap, but their
@@ -362,14 +377,14 @@ class TestValidation:
         )
         for n in (1, 8):
             with pytest.raises(ValidationError, match=f"exceeds cap {GRID_NODE_CAP}"):
-                nested_expect(square(), [step] * n, n, LATTICE, delta=1.0)
+                nested_expect(square(), [step] * n, n, LATTICE)
 
     def test_policy_cap(self):
-        steps = two_sigma_steps(4)
-        n_policies = count_policies(steps, 4)
-        assert n_policies == 2 ** 15
-        with pytest.raises(ValidationError, match=str(n_policies)):
-            bruteforce_nested(square(), steps, 4, cap=1000)
+        steps = two_sigma_steps(5)
+        n_policies = count_policies(steps, 5)
+        assert n_policies == 2 ** 31 > POLICY_CAP
+        with pytest.raises(ValidationError, match=f"policy count {n_policies} exceeds cap {POLICY_CAP}"):
+            bruteforce_nested(square(), steps, 5)
 
     def test_model_too_short(self):
         with pytest.raises(ValidationError):

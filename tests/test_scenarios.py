@@ -210,6 +210,8 @@ class TestDiscreteDistribution:
     def test_dimension_uniformity(self):
         with pytest.raises(ValidationError):
             DiscreteDistribution([(1.0, 0.5), ((1.0, 2.0), 0.5)])
+        with pytest.raises(ValidationError, match="^atom 0: point must have dimension 1 or 2$"):
+            DiscreteDistribution([((1.0, 2.0, 3.0), 1.0)])
 
     def test_atoms_sorted_and_merged(self):
         d = DiscreteDistribution([(2.0, 0.25), (-1.0, 0.5), (2.0, 0.25)])
@@ -225,6 +227,8 @@ class TestDiscreteDistribution:
     def test_scenario_set_nonempty(self):
         with pytest.raises(ValidationError):
             ScenarioSet([])
+        with pytest.raises(ValidationError, match="^a distribution needs at least one atom$"):
+            DiscreteDistribution([])
 
 
 def test_single_distribution_reduces_to_classical():
