@@ -31,7 +31,7 @@ base = build_iid_family(gp, sigma_levels=2, mean_levels=3, n_max=64)
 eps = eps_from_rule({"kind": "alternating-harmonic", "offset": 4}, 64)
 perturbed = build_perturbed_family(base, eps)
 
-dp = NestedEvalConfig(state_grid=(-12.5, 12.5, 2501), mode="grid_interp", edge="clamp")
+dp = NestedEvalConfig(state_grid=(-12.5, 12.5, 2501), mode="grid_interp")
 pde = SolverConfig(-12.5, 12.5, dx=0.05, dt=stable_dt(gp, 0.05, 1.0), t_final=1.0)
 
 print("i.i.d. ambiguous family:")

@@ -77,8 +77,9 @@ def cmd_clt(preset_path: str, out_dir: str | None, tol_override: float | None) -
 def cmd_verify(suite_name: str, seed: int) -> int:
     names = sorted(SUITES) if suite_name == "all" else [suite_name]
     if any(n not in SUITES for n in names):
-        print(f"unknown suite {suite_name!r}; available: {sorted(SUITES) + ['all']}")
-        return 2
+        raise ValidationError(f"unknown suite {suite_name!r}; available: {sorted(SUITES) + ['all']}")
+    if seed < 0:
+        raise ValidationError(f"--seed must be a nonnegative integer, got {seed}")
     ok = True
     for name in names:
         result = run_suite(name, seed=seed)

@@ -53,7 +53,8 @@ replayed from its input with a check after every step, which raises
 
 Alignment: every buffer the march writes (the node values, the
 differences, the increments and the per-row coefficient blocks) starts on
-a 64-byte boundary. ``np.empty`` gives no such promise, and the speed of
+a 64-byte boundary: it comes from ``nested._aligned``, the one allocation
+rule of both marches. ``np.empty`` gives no such promise, and the speed of
 the march depended on where its buffers happened to start: on a 2-CPU
 x86-64 machine with AVX-512, numpy 2.4, a g-* preset solve took 4.9 us
 per step with aligned buffers and 5.6-5.9 us with buffers 8 to 48 bytes
@@ -80,7 +81,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .functions import TestFunction
 from .gfunction import GParams
-from .nested import GRID_NODE_CAP
+from .nested import GRID_NODE_CAP, _aligned
 
 _GRID_INT_TOL = 1e-9
 CFL_SAFETY = 0.95
@@ -228,14 +229,6 @@ def _advance(
                 times = ", ".join(repr((m + 1) * float(d)) for d in dts)
                 raise NumericsError(f"non-finite values at step {m + 1} (t={times}); aborting")
     return nodes.reshape(v.shape) if batch == 1 else np.ascontiguousarray(nodes.T)
-
-
-def _aligned(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float array whose data starts on a 64-byte boundary."""
-    size = math.prod(shape)
-    raw = np.empty(size + 8)
-    skip = -raw.ctypes.data % 64 // raw.itemsize
-    return raw[skip : skip + size].reshape(shape)
 
 
 def _max_of_products(

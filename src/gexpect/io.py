@@ -161,22 +161,21 @@ def parse_solver_config(obj: dict, gp: GParams, t_final: float | None) -> Solver
 
 
 def parse_nested_config(obj: dict) -> NestedEvalConfig:
-    known_keys(obj, ("x_range", "num_points", "mode", "edge"), "dp")
+    known_keys(obj, ("x_range", "num_points", "mode"), "dp")
     num = _integer(_require(obj, "num_points", "dp"), "dp.num_points", 2, GRID_NODE_CAP)
     grid = (*_pair(obj, "x_range", "dp"), num)
-    mode, edge = str(obj.get("mode", "grid_interp")), str(obj.get("edge", "clamp"))
-    return _prefixed("dp.", NestedEvalConfig, grid, mode, edge)
+    return _prefixed("dp.", NestedEvalConfig, grid, str(obj.get("mode", "grid_interp")))
 
 
 def eps_from_rule(rule: dict, count: int) -> np.ndarray:
     """Materialize a perturbation schedule. Kinds: "zero",
     "harmonic" (scale/(i+offset)), "alternating-harmonic"."""
+    known_keys(rule, ("kind", "offset", "scale"), "eps_rule")
     kind = str(_require(rule, "kind", "eps_rule"))
     idx = np.arange(count, dtype=float)
     if kind == "zero":
         known_keys(rule, ("kind",), "eps_rule")
         return np.zeros(count)
-    known_keys(rule, ("kind", "offset", "scale"), "eps_rule")
     offset = positive_number(rule.get("offset", 4.0), "eps_rule.offset")
     scale = rule.get("scale", 1.0)
     if not _is_number(scale):
@@ -196,7 +195,7 @@ class ExperimentPreset:
     sigma_levels: int
     mean_levels: int
     n_max: int
-    eps_rule: dict | None
+    eps_rule: dict
     phi: TestFunction
     n_schedule: tuple[int, ...]
     dp: NestedEvalConfig
@@ -208,7 +207,7 @@ class ExperimentPreset:
         base = build_iid_family(self.gp, self.sigma_levels, self.mean_levels, self.n_max)
         if self.family == "iid":
             return base
-        eps = eps_from_rule(self.eps_rule or {"kind": "zero"}, self.n_max)
+        eps = eps_from_rule(self.eps_rule, self.n_max)
         return build_perturbed_family(base, eps)
 
 
@@ -222,8 +221,8 @@ def parse_phi(doc: dict, where: str) -> TestFunction:
 
 def output_stem(value, name: str) -> str:
     """``value`` if it can name an output file inside the output directory."""
-    if not isinstance(value, str) or "\0" in value or Path(value).name != value:
-        raise ValidationError(f"{name} must be a file name without directories, got {value!r}")
+    if not isinstance(value, str) or not value or "\0" in value or Path(value).name != value:
+        raise ValidationError(f"{name} must be a nonempty file name without directories, got {value!r}")
     return value
 
 
@@ -248,6 +247,11 @@ def parse_preset(doc: dict) -> ExperimentPreset:
             f"{n_max} x {sigma_levels} x {mean_levels} laws, above the cap of {MODEL_LAW_CAP}"
         )
     gp = parse_gparams(_require(doc, "gp", "preset"))
+    eps_rule = doc.get("eps_rule", {"kind": "zero"})
+    eps_from_rule(eps_rule, 0)  # a bad rule is refused at load, before any build
+    output_dir = doc.get("output_dir", "out")
+    if not isinstance(output_dir, str) or "\0" in output_dir:
+        raise ValidationError(f"preset.output_dir must be a string without NUL, got {output_dir!r}")
     return ExperimentPreset(
         name=name,
         gp=gp,
@@ -255,13 +259,13 @@ def parse_preset(doc: dict) -> ExperimentPreset:
         sigma_levels=sigma_levels,
         mean_levels=mean_levels,
         n_max=n_max,
-        eps_rule=doc.get("eps_rule"),
+        eps_rule=eps_rule,
         phi=parse_phi(doc, "preset"),
         n_schedule=schedule,
         dp=parse_nested_config(_require(doc, "dp", "preset")),
         pde=parse_solver_config(_require(doc, "pde", "preset"), gp, 1.0),
         tolerance=positive_number(_require(doc, "tolerance", "preset"), "preset.tolerance"),
-        output_dir=str(doc.get("output_dir", "out")),
+        output_dir=output_dir,
     )
 
 

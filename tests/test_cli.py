@@ -211,9 +211,17 @@ class TestClt:
             ("dp", "x_range", [6, -6], "dp.x_range needs lo < hi"),
             ("dp", "x_range", [1, 6], "dp.x_range [1.0, 6.0] must contain 0"),
             ("dp", "mode", "grid", "dp.mode must be"),
-            ("dp", "edge", "clip", "dp.edge must be"),
+            ("dp", "edge", "clamp", "unknown key dp.edge;"),
             (None, "phi", "cosine", "preset.phi 'cosine' names no function"),
             ("pde", "dx", 1e300, "pde.dx must divide"),  # dx * dx overflows in the CFL bound
+            # only an absent eps_rule means the zero rule
+            (None, "eps_rule", {}, "eps_rule: missing key 'kind'"),
+            (None, "eps_rule", None, "eps_rule must be an object, got None"),
+            (None, "eps_rule", 0, "eps_rule must be an object, got 0"),
+            (None, "eps_rule", False, "eps_rule must be an object, got False"),
+            (None, "eps_rule", "", "eps_rule must be an object, got ''"),
+            (None, "eps_rule", [], "eps_rule must be an object, got []"),
+            (None, "eps_rule", 5, "eps_rule must be an object, got 5"),
         ],
     )
     def test_malformed_field_is_a_validation_error(self, tmp_path, capsys, section, key, value, field):
@@ -224,6 +232,28 @@ class TestClt:
         rc = main(["clt", "--config", write(tmp_path, "bad.json", bad), "--out", str(tmp_path)])
         assert rc == 2
         assert field in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["clt", "check-conditions"])
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("output_dir", None, "preset.output_dir"),
+            ("output_dir", ["x"], "preset.output_dir"),
+            ("output_dir", "a\u0000b", "preset.output_dir"),
+            ("name", "", "preset.name"),
+        ],
+    )
+    def test_output_names_are_checked_at_load(
+        self, tmp_path, monkeypatch, capsys, command, key, value, field
+    ):
+        # run without --out from an empty working directory: a refused preset writes nothing there
+        config = write(tmp_path, "p.json", {**SMALL, key: value})
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main([command, "--config", config]) == 2
+        assert f"error: {field} must be" in capsys.readouterr().out
+        assert list(cwd.iterdir()) == []
 
     def test_eps_rule_needs_the_perturbed_family(self, tmp_path, capsys):
         doc = {**SMALL, "family": "iid"}
@@ -253,6 +283,13 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "mystery"]) == 2
+        assert capsys.readouterr().out.startswith("error: unknown suite 'mystery'; available: ")
+
+    @pytest.mark.parametrize("suite", ["axioms", "gfunction", "holder", "oracle", "semigroup", "all"])
+    def test_negative_seed_exits_2(self, capsys, suite):
+        # semigroup reads no seed, and is refused all the same
+        assert main(["verify", suite, "--seed", "-5"]) == 2
+        assert capsys.readouterr().out == "error: --seed must be a nonnegative integer, got -5\n"
 
 
 class TestSolveAndConditions:
@@ -273,6 +310,7 @@ class TestSolveAndConditions:
             (None, "label", "../escaped", "document.label"),
             (None, "solver", {"x_range": [-6.0, 6.0], "dx": 0.1}, "document.solver"),
             ("pde", "dx", 1e300, "pde.dx must divide"),  # dx * dx overflows in the CFL bound
+            (None, "label", "", "document.label"),
         ],
     )
     def test_malformed_solve_field(self, tmp_path, capsys, section, key, value, field):
@@ -366,7 +404,7 @@ PRESET = json.loads(
 SECTION_KEYS = {
     "gp": ("mu", "sigma2"),
     "family_params": ("sigma_levels", "mean_levels", "n_max"),
-    "dp": ("x_range", "num_points", "mode", "edge"),
+    "dp": ("x_range", "num_points", "mode"),
     "pde": ("x_range", "dx"),
     "eps_rule": ("kind", "offset", "scale"),
 }

@@ -33,7 +33,7 @@ from gexpect.scenarios import DiscreteDistribution, ScenarioSet
 GP_AMB = GParams(-0.5, 0.5, 1.0, 4.0)
 GP_DEG = GParams(0.0, 0.0, 1.0, 1.0)
 
-DP_SMALL = NestedEvalConfig(state_grid=(-12.5, 12.5, 1251), mode="grid_interp", edge="clamp")
+DP_SMALL = NestedEvalConfig(state_grid=(-12.5, 12.5, 1251), mode="grid_interp")
 
 
 class TestIIDBuilder:
@@ -148,7 +148,7 @@ class TestRunCLT:
 
     def test_degenerate_matches_product_formula(self):
         model = build_iid_family(GP_DEG, 1, 1, 32)
-        dp = NestedEvalConfig(state_grid=(-6.0, 6.0, 2401), mode="grid_interp", edge="clamp")
+        dp = NestedEvalConfig(state_grid=(-6.0, 6.0, 2401), mode="grid_interp")
         report = run_clt(model, cosine(), [8, 16, 32], dp, self.pde_cfg(GP_DEG, 6.0))
         for n, lhs, _, _ in report.rows:
             assert lhs == pytest.approx(math.cos(1.0 / math.sqrt(n)) ** n, abs=2e-3)

@@ -22,8 +22,9 @@ from gexpect import (
     value_at,
 )
 from gexpect.functions import TestFunction, const, coord, cosine, ramp
-from gexpect.heat import _aligned, _march
+from gexpect.heat import _march
 from gexpect.io import parse_solver_config
+from gexpect.nested import _aligned
 
 DEG = GParams(0.0, 0.0, 1.0, 1.0)
 AMB = GParams(-1.0, 1.0, 1.0, 4.0)

@@ -107,7 +107,7 @@ class TestConfigParsers:
 
     def test_nested_config_defaults(self):
         cfg = parse_nested_config({"x_range": [-4.0, 4.0], "num_points": 101})
-        assert cfg.mode == "grid_interp" and cfg.edge == "clamp"
+        assert cfg.mode == "grid_interp"
 
 
 class TestEpsRules:
@@ -208,6 +208,18 @@ class TestPresets:
         doc["family_params"]["n_max"] = 20_000  # 120,000 laws
         with pytest.raises(ValidationError, match="above the cap"):
             parse_preset(doc)
+
+    def test_eps_rule_is_checked_at_load(self):
+        doc = json.loads(
+            resources.files("gexpect").joinpath("presets", "g-perturbed.json").read_text()
+        )
+        assert parse_preset(doc).eps_rule == {"kind": "alternating-harmonic", "offset": 4}
+        with pytest.raises(ValidationError, match=r"^eps_rule must be an object, got \[\]$"):
+            parse_preset({**doc, "eps_rule": []})
+        with pytest.raises(ValidationError, match="^unknown eps_rule kind 'periodic'$"):
+            parse_preset({**doc, "eps_rule": {"kind": "periodic"}})
+        del doc["eps_rule"]  # only an absent rule means zero
+        assert parse_preset(doc).eps_rule == {"kind": "zero"}
 
     def test_build_model_from_preset(self):
         pre = load_preset("g-perturbed")

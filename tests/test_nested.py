@@ -42,7 +42,7 @@ def test_steps_of_one_dimension_only():
     flat = ScenarioSet([DiscreteDistribution.symmetric_pair(1.0)])
     pair = ScenarioSet([DiscreteDistribution([((1.0, 0.5), 0.5), ((-1.0, 0.5), 0.5)])])
     assert nested_expect(square(), [flat, flat], 2, LATTICE) == pytest.approx(1.0, abs=ORACLE_TOL)
-    for cfg in (LATTICE, NestedEvalConfig((-4.0, 4.0, 801), "grid_interp", "strict")):
+    for cfg in (LATTICE, NestedEvalConfig((-4.0, 4.0, 801), "grid_interp")):
         with pytest.raises(ValidationError, match="^step 2 has dimension 2, expected 1$"):
             nested_expect(square(), [flat, pair], 2, cfg)
         with pytest.raises(ValidationError, match="^step 3 has dimension 2, expected 1$"):
@@ -91,7 +91,7 @@ def test_single_scenario_equals_product_measure():
         s = wx * (x1 + x2) + wy * (y1 + y2)
         total += w1 * w2 * s * s
     assert bruteforce_nested(phi, steps, 2) == pytest.approx(total, abs=1e-13)
-    cfg = NestedEvalConfig(state_grid=(-4.0, 4.0, 8001), mode="grid_interp", edge="clamp")
+    cfg = NestedEvalConfig(state_grid=(-4.0, 4.0, 8001), mode="grid_interp")
     assert nested_expect(phi, steps, 2, cfg) == pytest.approx(total, abs=1e-4)
 
 
@@ -134,29 +134,22 @@ def test_grid_interp_halving_changes_value_by_at_most_lip_times_spacing():
     phi = ramp(clip=3.0)
     lo, hi, n_pts = -6.0, 6.0, 401
     spacing = (hi - lo) / (n_pts - 1)
-    coarse = nested_expect(phi, steps, 4, NestedEvalConfig((lo, hi, n_pts), "grid_interp", "clamp"))
+    coarse = nested_expect(phi, steps, 4, NestedEvalConfig((lo, hi, n_pts), "grid_interp"))
     fine = nested_expect(
-        phi, steps, 4, NestedEvalConfig((lo, hi, 2 * n_pts - 1), "grid_interp", "clamp")
+        phi, steps, 4, NestedEvalConfig((lo, hi, 2 * n_pts - 1), "grid_interp")
     )
     assert abs(coarse - fine) <= 1.0 * spacing  # ramp is 1-Lipschitz
 
 
 def interp_grid_value(phi, steps, n, cfg):
-    """The grid recursion as one np.interp call per atom per step, with the
-    strict coverage check: the reference for the stencil march."""
+    """The grid recursion as one np.interp call per atom per step, clamping
+    at the edges as np.interp does: the reference for the stencil march."""
     lo, hi, num = cfg.state_grid
     wx, wy = math.sqrt(1.0 / n), 1.0 / n
     incs = [
         [(wx * dist.points[:, 0] + wy * dist.points[:, 1], dist.weights) for dist in step.dists]
         for step in steps[:n]
     ]
-    if cfg.edge == "strict":
-        c_lo = c_hi = 0.0
-        for step in incs:
-            c_lo += min(float(inc.min()) for inc, _ in step)
-            c_hi += max(float(inc.max()) for inc, _ in step)
-            if c_lo < lo - 1e-12 or c_hi > hi + 1e-12:
-                raise ValidationError("does not cover")
     xs = np.linspace(lo, hi, num)
     w_vals = phi(xs)
     for step in reversed(incs):
@@ -200,26 +193,33 @@ def grid_models(draw):
 @settings(max_examples=200, deadline=None)
 @given(
     model=grid_models(),
-    edge=st.sampled_from(["clamp", "strict"]),
     cover=st.booleans(),
     a=st.floats(-1.0, 1.0),
     b=st.floats(-1.0, 1.0),
 )
-def test_grid_interp_matches_interp_reference(model, edge, cover, a, b):
+def test_grid_interp_matches_interp_reference(model, cover, a, b):
     steps, n, (lo, hi, num) = model
     if cover:  # widen the grid past every reachable partial sum
         wx, wy = math.sqrt(1.0 / n), 1.0 / n
         reach = sum(np.abs(wx * s.points[:, 0] + wy * s.points[:, 1]).max() for s in steps)
         lo, hi = min(lo, -reach - 0.1), max(hi, reach + 0.1)
-    cfg = NestedEvalConfig((lo, hi, num), "grid_interp", edge)
+    cfg = NestedEvalConfig((lo, hi, num), "grid_interp")
     phi = TestFunction(lambda s: a * s + b * np.cos(3.0 * s) + np.abs(s - 0.3), dim=1)
-    try:
-        want = interp_grid_value(phi, steps, n, cfg)
-    except ValidationError:
-        with pytest.raises(ValidationError, match="does not cover"):
-            nested_expect(phi, steps, n, cfg)
-        return
+    want = interp_grid_value(phi, steps, n, cfg)
     assert nested_expect(phi, steps, n, cfg) == pytest.approx(want, abs=1e-12)
+
+
+def test_shipped_grid_clamps_at_preset_scale():
+    """The g-ambiguous grid, [-12.5, 12.5] with 2,501 nodes, is narrower than
+    the reach of the partial sums at n = 128 (about 23); the march still
+    equals the clamped per-atom np.interp reference there."""
+    preset = load_preset("g-ambiguous")
+    steps, n = preset.build_model().steps, 128
+    wx, wy = math.sqrt(1.0 / n), 1.0 / n
+    reach = sum(np.abs(wx * s.points[:, 0] + wy * s.points[:, 1]).max() for s in steps[:n])
+    assert reach > preset.dp.state_grid[1] + 10.0
+    want = interp_grid_value(preset.phi, steps, n, preset.dp)
+    assert nested_expect(preset.phi, steps, n, preset.dp) == pytest.approx(want, abs=1e-12)
 
 
 def reference_stencils(steps, wx, wy, h, exact, num):
@@ -309,23 +309,21 @@ def test_grid_interp_agrees_with_exact_lattice():
     phi = ramp(clip=3.0)
     exact = nested_expect(phi, steps, 4, LATTICE)
     grid = nested_expect(
-        phi, steps, 4, NestedEvalConfig((-8.0, 8.0, 16001), "grid_interp", "strict")
+        phi, steps, 4, NestedEvalConfig((-8.0, 8.0, 16001), "grid_interp")
     )
     assert grid == pytest.approx(exact, abs=2e-4)
 
 
 class TestValidation:
-    def test_strict_grid_coverage(self):
-        steps = two_sigma_steps(4)
-        cfg = NestedEvalConfig((-1.0, 1.0, 201), "grid_interp", "strict")
-        with pytest.raises(ValidationError, match="does not cover"):
-            nested_expect(square(), steps, 4, cfg)
-        clamp = NestedEvalConfig((-1.0, 1.0, 201), "grid_interp", "clamp")
-        nested_expect(square(), steps, 4, clamp)  # truncates instead
+    def test_uncovered_grid_clamps(self):
+        # the partial sums reach 4, past both edges of the grid: valid input, clamped
+        steps, cfg = two_sigma_steps(4), NestedEvalConfig((-1.0, 1.0, 201), "grid_interp")
+        want = interp_grid_value(square(), steps, 4, cfg)
+        assert nested_expect(square(), steps, 4, cfg) == pytest.approx(want, abs=1e-12)
 
     def test_grid_must_contain_zero(self):
         with pytest.raises(ValidationError, match="contain 0"):
-            NestedEvalConfig((1.0, 2.0, 11), "grid_interp", "clamp")
+            NestedEvalConfig((1.0, 2.0, 11), "grid_interp")
         NestedEvalConfig((1.0, 2.0, 11), "exact_lattice")  # the lattice mode ignores the grid
 
     def test_both_evaluators_check_the_step_count(self):
@@ -397,7 +395,5 @@ class TestValidation:
             NestedEvalConfig((-1.0, 1.0, 1))
         with pytest.raises(ValidationError):
             NestedEvalConfig((-1.0, 1.0, 11), mode="magic")
-        with pytest.raises(ValidationError):
-            NestedEvalConfig((-1.0, 1.0, 11), edge="loose")
         with pytest.raises(ValidationError, match="num_points"):
             NestedEvalConfig((-1.0, 1.0, GRID_NODE_CAP + 1), mode="grid_interp")
