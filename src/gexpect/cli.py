@@ -32,7 +32,7 @@ from .io import (
     write_value_function_csv,
 )
 from .scenarios import expect, lower_expect
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, run_suites  # bench/tracing.py rebinds cli.run_suite
 
 DEFAULT_SEED = 20260801
 
@@ -80,14 +80,12 @@ def cmd_verify(suite_name: str, seed: int) -> int:
         raise ValidationError(f"unknown suite {suite_name!r}; available: {sorted(SUITES) + ['all']}")
     if seed < 0:
         raise ValidationError(f"--seed must be a nonnegative integer, got {seed}")
-    ok = True
-    for name in names:
-        result = run_suite(name, seed=seed)
+    results = run_suites(names, seed)
+    for result in results:
         print(f"{result.summary()}, seed={seed}")
         for line in result.details:
             print(f"  {line}")
-        ok = ok and result.passed
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_solve(config_path: str, out_dir: str) -> int:

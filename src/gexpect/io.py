@@ -180,11 +180,14 @@ def eps_from_rule(rule: dict, count: int) -> np.ndarray:
     scale = rule.get("scale", 1.0)
     if not _is_number(scale):
         raise ValidationError(f"eps_rule.scale must be a finite number, got {scale!r}")
-    if kind == "harmonic":
-        return scale / (idx + offset)
-    if kind == "alternating-harmonic":
-        return scale * (-1.0) ** np.arange(count) / (idx + offset)
-    raise ValidationError(f"unknown eps_rule kind {kind!r}")
+    if kind not in ("harmonic", "alternating-harmonic"):
+        raise ValidationError(f"unknown eps_rule kind {kind!r}")
+    sign = (-1.0) ** idx if kind == "alternating-harmonic" else 1.0
+    with np.errstate(over="ignore"):
+        eps = scale * sign / (idx + offset)
+    if not np.isfinite(eps).all():
+        raise ValidationError(f"eps_rule gives a schedule that is not finite: {rule!r}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ def parse_phi(doc: dict, where: str) -> TestFunction:
 
 def output_stem(value, name: str) -> str:
     """``value`` if it can name an output file inside the output directory."""
-    if not isinstance(value, str) or not value or "\0" in value or Path(value).name != value:
+    if not isinstance(value, str) or value in ("", "..") or "\0" in value or Path(value).name != value:
         raise ValidationError(f"{name} must be a nonempty file name without directories, got {value!r}")
     return value
 

@@ -10,11 +10,18 @@ subcommand and the acceptance tests:
 * ``oracle``     — nested backward recursion vs brute-force policy
                    enumeration on random lattice-compatible models
 * ``semigroup``  — two-stage vs single-stage solver composition
+
+``run_suites``, behind ``gexpect verify``, runs the campaigns and the
+semigroup suite's four ``semigroup_check`` calls side by side, one forked
+worker per usable CPU (``fork_map``), and returns each suite's report as
+the suite computes it alone; with one usable CPU it runs them in turn in
+this process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -151,27 +158,40 @@ _SEMIGROUP_CASES = (
 )
 
 
-def semigroup_suite(seed: int = 0) -> Report:
-    """Two-stage vs single-stage discrepancy at a = b = sqrt(1/2), at most
-    1e-2 at dx = 0.02, plus the refinement contraction under (dx, dt) ->
-    (dx/2, dt/4). Deterministic: ``seed`` is accepted so every suite shares
-    one signature."""
+def _semigroup_checks() -> list[tuple]:
+    """The ``semigroup_check`` arguments of the semigroup suite: per case, the
+    coarse grid then the fine one."""
     from .functions import cosine
 
-    result = Report("semigroup")
     a = b = math.sqrt(0.5)
-    dx, threshold = 0.02, 1e-2
+    dx = 0.02
     phi = cosine()
-    for label, gp, half in _SEMIGROUP_CASES:
+    checks = []
+    for _, gp, half in _SEMIGROUP_CASES:
         coarse_cfg = SolverConfig(-half, half, dx, stable_dt(gp, dx, 1.0), 1.0)
         fine_cfg = SolverConfig(-half, half, dx / 2, coarse_cfg.dt / 4, 1.0)
-        coarse = semigroup_check(gp, phi, a, b, coarse_cfg)
-        fine = semigroup_check(gp, phi, a, b, fine_cfg)
+        checks += [(gp, phi, a, b, coarse_cfg), (gp, phi, a, b, fine_cfg)]
+    return checks
+
+
+def _semigroup_report(values: list[float]) -> Report:
+    """The semigroup suite's report from the values of ``_semigroup_checks``."""
+    result = Report("semigroup")
+    threshold = 1e-2
+    for (label, _, _), coarse, fine in zip(_SEMIGROUP_CASES, values[::2], values[1::2]):
         result.record(
             coarse <= threshold, coarse, "%s: coarse discrepancy %r > %s", label, coarse, threshold
         )
         result.record(fine < coarse, 0.0, "%s: no contraction (%r -> %r)", label, coarse, fine)
     return result
+
+
+def semigroup_suite(seed: int = 0) -> Report:
+    """Two-stage vs single-stage discrepancy at a = b = sqrt(1/2), at most
+    1e-2 at dx = 0.02, plus the refinement contraction under (dx, dt) ->
+    (dx/2, dt/4). Deterministic: ``seed`` is accepted so every suite shares
+    one signature."""
+    return _semigroup_report([semigroup_check(*args) for args in _semigroup_checks()])
 
 
 SUITES = {
@@ -185,3 +205,67 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0) -> Report:
     return SUITES[name](seed=seed)
+
+
+def run_suites(names: list[str], seed: int = 0) -> list[Report]:
+    """The reports of the named suites, in the order of ``names``.
+
+    The campaigns and the semigroup suite's four ``semigroup_check`` calls
+    share no state, so they go through ``fork_map`` as one queue: the
+    semigroup checks by march size (steps x nodes), largest first, then the
+    campaigns by name, which puts axioms, the heaviest, first. Every value
+    is the one the suite computes on its own."""
+    checks = dict(enumerate(_semigroup_checks())) if "semigroup" in names else {}
+
+    def march_size(i: int) -> int:
+        cfg = checks[i][-1]
+        return cfg.n_steps * (cfg.n_intervals + 1)
+
+    tasks = sorted(checks, key=march_size, reverse=True) + sorted(set(names) - {"semigroup"})
+    values = fork_map(
+        lambda t: run_suite(t, seed) if isinstance(t, str) else semigroup_check(*checks[t]), tasks
+    )
+    done = dict(zip(tasks, values))
+    if checks:
+        done["semigroup"] = _semigroup_report([done[i] for i in sorted(checks)])
+    return [done[name] for name in names]
+
+
+# the task function and items of the running ``fork_map``; set before the
+# workers fork, so they inherit it and only indices and results are pickled
+_FORKED = None
+
+
+def _forked_task(index: int):
+    fn, items = _FORKED
+    return fn(items[index])
+
+
+def fork_map(fn, items: list) -> list:
+    """``[fn(x) for x in items]``, computed on one forked worker per usable CPU.
+
+    Workers take items from one queue, so a long task does not hold back the
+    rest, and the results come back in input order. ``fn`` and ``items``
+    reach the workers by fork inheritance, so closures, lambdas and module
+    attributes rebound at run time work there as in this process; only
+    indices, results and exceptions are pickled. A worker's exception is
+    raised here with its type and message. Fork needs a caller without
+    threads of its own; the pool forks every worker before it starts its
+    manager thread. With one usable CPU or one item, or without
+    ``os.sched_getaffinity`` (macOS and Windows, where fork is unsafe or
+    missing), the map runs inline in this process."""
+    global _FORKED
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(items), cpus)
+    if workers < 2:
+        return [fn(x) for x in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _FORKED = (fn, items)
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_forked_task, range(len(items))))
+    finally:
+        _FORKED = None

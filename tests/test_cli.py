@@ -222,6 +222,12 @@ class TestClt:
             (None, "eps_rule", "", "eps_rule must be an object, got ''"),
             (None, "eps_rule", [], "eps_rule must be an object, got []"),
             (None, "eps_rule", 5, "eps_rule must be an object, got 5"),
+            (
+                None,
+                "eps_rule",
+                {"kind": "harmonic", "scale": 1e308, "offset": 1e-300},
+                "error: eps_rule gives a schedule that is not finite",
+            ),
         ],
     )
     def test_malformed_field_is_a_validation_error(self, tmp_path, capsys, section, key, value, field):
@@ -241,6 +247,7 @@ class TestClt:
             ("output_dir", ["x"], "preset.output_dir"),
             ("output_dir", "a\u0000b", "preset.output_dir"),
             ("name", "", "preset.name"),
+            ("name", "..", "preset.name"),
         ],
     )
     def test_output_names_are_checked_at_load(
@@ -311,6 +318,7 @@ class TestSolveAndConditions:
             (None, "solver", {"x_range": [-6.0, 6.0], "dx": 0.1}, "document.solver"),
             ("pde", "dx", 1e300, "pde.dx must divide"),  # dx * dx overflows in the CFL bound
             (None, "label", "", "document.label"),
+            (None, "label", "..", "document.label"),
         ],
     )
     def test_malformed_solve_field(self, tmp_path, capsys, section, key, value, field):

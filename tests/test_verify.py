@@ -1,0 +1,71 @@
+"""fork_map and the verify queue: input order, fork inheritance, worker
+errors, the inline path, and the semigroup suite's record order."""
+
+import os
+import time
+
+import pytest
+
+from gexpect import verify
+from gexpect.cli import main
+from gexpect.errors import ValidationError
+from gexpect.verify import fork_map, run_suites, semigroup_suite
+
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def test_results_keep_input_order():
+    # earlier items sleep longer, so later items finish first
+    assert fork_map(lambda x: time.sleep(0.02 * (4 - x)) or x, range(5)) == [0, 1, 2, 3, 4]
+
+
+def test_closure_over_a_local_reaches_the_workers():
+    offset = 10
+    assert fork_map(lambda x: x + offset, [1, 2, 3]) == [11, 12, 13]
+
+
+def test_worker_error_is_raised_with_its_type_and_message():
+    def check(x):
+        if x == 2:
+            raise ValidationError(f"item {x} refused")
+        return x
+
+    with pytest.raises(ValidationError, match=r"^item 2 refused$"):
+        fork_map(check, [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("platform", ["one-cpu", "no-affinity"])
+def test_runs_inline_without_a_second_cpu(monkeypatch, platform):
+    if platform == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert fork_map(lambda _: os.getpid(), [0, 1, 2]) == [os.getpid()] * 3
+
+
+@pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
+def test_runs_in_children_with_two_cpus():
+    pids = fork_map(lambda _: os.getpid(), [0, 1, 2])
+    assert os.getpid() not in pids
+
+
+def test_semigroup_queue_keeps_the_record_order(monkeypatch):
+    # a distinct value per config, growing with the march, so every
+    # contraction check fails and its witness names the case and the values
+    def fake(gp, phi, a, b, cfg):
+        return cfg.n_steps * (cfg.n_intervals + 1) * 1e-12
+
+    monkeypatch.setattr(verify, "semigroup_check", fake)
+    want = semigroup_suite(3)
+    assert want.failures == 2
+    assert run_suites(["semigroup"], 3) == [want]
+
+
+def test_campaign_error_in_a_worker_exits_2(monkeypatch, capsys):
+    def broken(seed=0):
+        raise ValidationError("holder campaign refused")
+
+    monkeypatch.setitem(verify.SUITES, "holder", broken)
+    monkeypatch.setattr(verify, "semigroup_check", lambda *args: 0.0)  # keeps the run short
+    assert main(["verify", "all", "--seed", "1"]) == 2
+    assert capsys.readouterr().out == "error: holder campaign refused\n"
