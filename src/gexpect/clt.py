@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 from .functions import TestFunction
 from .gfunction import GParams
 from .heat import SolverConfig, solve, value_at
 from .nested import NestedEvalConfig, nested_expect
+from .parallel import fork_map
 from .scenarios import DiscreteDistribution, ScenarioSet, canonical_laws, law_sums, stack_sets
 
 EPS_MAX = 0.25
@@ -236,11 +237,22 @@ def run_clt(
 ) -> ConvergenceReport:
     """Measure the convergence of the nested value to the PDE value.
 
-    One row per n in the (increasing) schedule; the PDE reference is
-    computed once at (1, 0), so ``cfg_pde.t_final`` must be 1. The PDE
+    One row per n in the (increasing) schedule of integers; the PDE reference
+    is computed once at (1, 0), so ``cfg_pde.t_final`` must be 1. The PDE
     domain must cover the 6-sigma envelope of the limit pair.
+
+    The PDE value and the nested value at each n share no state, so they go
+    through ``fork_map`` as one queue, the PDE first and then n descending,
+    longest first. Each is the call a run in one process makes, so the rows
+    are the same. A ``ValidationError`` or ``NumericsError`` is raised as a
+    run in turn raises it: the PDE's first, then the one at the smallest n.
     """
-    n_schedule = [int(n) for n in n_schedule]
+    schedule = []
+    for n in n_schedule:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"n_schedule entries must be integers, got {n!r}")
+        schedule.append(int(n))
+    n_schedule = schedule
     if not n_schedule or any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValidationError("n_schedule must be nonempty and strictly increasing")
     if n_schedule[-1] > len(model):
@@ -258,12 +270,23 @@ def run_clt(
             f"PDE domain [{cfg_pde.x_lo}, {cfg_pde.x_hi}] does not cover the "
             f"required half-width {half!r}"
         )
-    pde = value_at(solve(model.gp, phi, cfg_pde), 0.0)
-    rows = []
-    for n in n_schedule:
-        lhs = nested_expect(phi, model, n, cfg_dp)
-        rows.append((n, lhs, pde, abs(lhs - pde)))
-    return ConvergenceReport(rows=rows)
+
+    def value(n: int | None):
+        """The PDE value (n None) or the nested value at n, or what it raised."""
+        try:
+            if n is None:
+                return value_at(solve(model.gp, phi, cfg_pde), 0.0)
+            return nested_expect(phi, model, n, cfg_dp)
+        except (ValidationError, NumericsError) as exc:
+            return exc
+
+    tasks = [None] + n_schedule[::-1]
+    values = dict(zip(tasks, fork_map(value, tasks)))
+    for n in [None] + n_schedule:
+        if isinstance(values[n], Exception):
+            raise values[n]
+    pde = values[None]
+    return ConvergenceReport(rows=[(n, values[n], pde, abs(values[n] - pde)) for n in n_schedule])
 
 
 def reencode_model(model: SequenceModel, seed: int = 0) -> SequenceModel:

@@ -244,6 +244,12 @@ def parse_preset(doc: dict) -> ExperimentPreset:
     sigma_levels = _integer(fam.get("sigma_levels", 2), "family_params.sigma_levels")
     mean_levels = _integer(fam.get("mean_levels", 2), "family_params.mean_levels")
     n_max = _integer(fam.get("n_max", max(schedule)), "family_params.n_max")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValidationError(f"preset.n_schedule must be strictly increasing, got {list(schedule)!r}")
+    if schedule[-1] > n_max:
+        raise ValidationError(
+            f"preset.n_schedule must be at most family_params.n_max = {n_max}, got {list(schedule)!r}"
+        )
     if n_max * sigma_levels * mean_levels > MODEL_LAW_CAP:
         raise ValidationError(
             f"family_params.n_max x family_params.sigma_levels x family_params.mean_levels = "

@@ -21,7 +21,6 @@ this process.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .functions import TestFunction, const
 from .gfunction import GParams, verify_g_properties
 from .heat import SolverConfig, semigroup_check, stable_dt
 from .nested import NestedEvalConfig, bruteforce_nested, nested_expect
+from .parallel import fork_map
 from .scenarios import DiscreteDistribution, ScenarioSet, holder_check, verify_axioms
 
 
@@ -230,42 +230,3 @@ def run_suites(names: list[str], seed: int = 0) -> list[Report]:
         done["semigroup"] = _semigroup_report([done[i] for i in sorted(checks)])
     return [done[name] for name in names]
 
-
-# the task function and items of the running ``fork_map``; set before the
-# workers fork, so they inherit it and only indices and results are pickled
-_FORKED = None
-
-
-def _forked_task(index: int):
-    fn, items = _FORKED
-    return fn(items[index])
-
-
-def fork_map(fn, items: list) -> list:
-    """``[fn(x) for x in items]``, computed on one forked worker per usable CPU.
-
-    Workers take items from one queue, so a long task does not hold back the
-    rest, and the results come back in input order. ``fn`` and ``items``
-    reach the workers by fork inheritance, so closures, lambdas and module
-    attributes rebound at run time work there as in this process; only
-    indices, results and exceptions are pickled. A worker's exception is
-    raised here with its type and message. Fork needs a caller without
-    threads of its own; the pool forks every worker before it starts its
-    manager thread. With one usable CPU or one item, or without
-    ``os.sched_getaffinity`` (macOS and Windows, where fork is unsafe or
-    missing), the map runs inline in this process."""
-    global _FORKED
-    items = list(items)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(items), cpus)
-    if workers < 2:
-        return [fn(x) for x in items]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    _FORKED = (fn, items)
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_forked_task, range(len(items))))
-    finally:
-        _FORKED = None

@@ -262,6 +262,31 @@ class TestClt:
         assert f"error: {field} must be" in capsys.readouterr().out
         assert list(cwd.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["clt", "check-conditions"])
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            pytest.param(
+                [4, 2], "preset.n_schedule must be strictly increasing, got [4, 2]", id="decreasing"
+            ),
+            pytest.param(
+                [2, 2], "preset.n_schedule must be strictly increasing, got [2, 2]", id="repeated"
+            ),
+            pytest.param(
+                [2, 8],
+                "preset.n_schedule must be at most family_params.n_max = 4, got [2, 8]",
+                id="past-n-max",
+            ),
+        ],
+    )
+    def test_schedule_is_checked_at_load(self, tmp_path, capsys, command, schedule, message):
+        # SMALL sets family_params.n_max = 4
+        config = write(tmp_path, "p.json", {**SMALL, "n_schedule": schedule})
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == f"error: {message}\n"
+        assert not out.exists()
+
     def test_eps_rule_needs_the_perturbed_family(self, tmp_path, capsys):
         doc = {**SMALL, "family": "iid"}
         rc = main(["clt", "--config", write(tmp_path, "iid.json", doc), "--out", str(tmp_path)])

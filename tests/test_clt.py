@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from gexpect import (
     GParams,
+    NumericsError,
     SolverConfig,
     ValidationError,
     bruteforce_nested,
@@ -23,8 +25,11 @@ from gexpect import (
     lower_expect,
     nested_expect,
     run_clt,
+    solve,
     stable_dt,
+    value_at,
 )
+from gexpect import clt
 from gexpect.clt import EPS_MAX, ConvergenceReport, SequenceModel, reencode_model
 from gexpect.functions import const, coord, coord_abs_power, cosine, ramp
 from gexpect.nested import NestedEvalConfig
@@ -34,6 +39,17 @@ GP_AMB = GParams(-0.5, 0.5, 1.0, 4.0)
 GP_DEG = GParams(0.0, 0.0, 1.0, 1.0)
 
 DP_SMALL = NestedEvalConfig(state_grid=(-12.5, 12.5, 1251), mode="grid_interp")
+
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.fixture(params=[1, 2])
+def cpus(request, monkeypatch):
+    """``os.sched_getaffinity`` reports this many CPUs; two only where two are usable."""
+    if request.param > USABLE_CPUS:
+        pytest.skip("needs two usable CPUs")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False)
+    return request.param
 
 
 class TestIIDBuilder:
@@ -172,6 +188,65 @@ class TestRunCLT:
         half_time = SolverConfig(-6.0, 6.0, 0.5, stable_dt(GP_DEG, 0.5, 0.5), 0.5)
         with pytest.raises(ValidationError, match="t = 1"):
             run_clt(model, cosine(), [8], DP_SMALL, half_time)
+
+    def test_schedule_entries_must_be_integers(self):
+        model = build_iid_family(GP_DEG, 1, 1, 16)
+        pde = self.pde_cfg(GP_DEG, 6.0)
+        with pytest.raises(ValidationError, match=r"integers, got 8\.9$"):
+            run_clt(model, cosine(), [8.9, 16], DP_SMALL, pde)
+        with pytest.raises(ValidationError, match=r"integers, got True$"):
+            run_clt(model, cosine(), [True, 16], DP_SMALL, pde)
+        report = run_clt(model, cosine(), np.array([8, 16]), DP_SMALL, pde)
+        assert [row[0] for row in report.rows] == [8, 16]
+        assert all(type(row[0]) is int for row in report.rows)
+
+    def test_rows_are_the_calls_made_in_turn(self, cpus):
+        model = build_iid_family(GP_AMB, 2, 3, 64)
+        phi, schedule, pde_cfg = ramp(clip=4.0), [8, 16, 32, 64], self.pde_cfg(GP_AMB, 12.5)
+        pde = value_at(solve(GP_AMB, phi, pde_cfg), 0.0)
+        lhs = [nested_expect(phi, model, n, DP_SMALL) for n in schedule]
+        want = [(n, v, pde, abs(v - pde)) for n, v in zip(schedule, lhs)]
+        assert run_clt(model, phi, schedule, DP_SMALL, pde_cfg).rows == want
+
+    def test_queue_is_the_pde_then_n_descending(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(clt, "solve", lambda *args: calls.append("pde") or solve(*args))
+        monkeypatch.setattr(clt, "nested_expect", lambda phi, model, n, cfg: calls.append(n) or 1.0)
+        model = build_iid_family(GP_DEG, 1, 1, 32)
+        run_clt(model, cosine(), [8, 16, 32], DP_SMALL, self.pde_cfg(GP_DEG, 6.0))
+        assert calls == ["pde", 32, 16, 8]
+
+    @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
+    def test_rows_run_in_workers_with_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(clt, "nested_expect", lambda phi, model, n, cfg: float(os.getpid()))
+        model = build_iid_family(GP_DEG, 1, 1, 32)
+        report = run_clt(model, cosine(), [8, 16, 32], DP_SMALL, self.pde_cfg(GP_DEG, 6.0))
+        assert os.getpid() not in [row[1] for row in report.rows]
+
+    def test_smallest_failing_n_is_raised(self, monkeypatch, cpus):
+        def nested(phi, model, n, cfg):
+            if n >= 16:
+                raise ValidationError(f"n={n}")
+            return 1.0
+
+        monkeypatch.setattr(clt, "nested_expect", nested)
+        model = build_iid_family(GP_DEG, 1, 1, 32)
+        with pytest.raises(ValidationError, match=r"^n=16$"):
+            run_clt(model, cosine(), [8, 16, 32], DP_SMALL, self.pde_cfg(GP_DEG, 6.0))
+
+    def test_pde_error_wins_over_failing_rows(self, monkeypatch, cpus):
+        def broken_solve(gp, phi, cfg):
+            raise NumericsError("march blew up")
+
+        def nested(phi, model, n, cfg):
+            raise ValidationError(f"n={n}")
+
+        monkeypatch.setattr(clt, "solve", broken_solve)
+        monkeypatch.setattr(clt, "nested_expect", nested)
+        model = build_iid_family(GP_DEG, 1, 1, 32)
+        with pytest.raises(NumericsError, match=r"^march blew up$"):
+            run_clt(model, cosine(), [8, 16, 32], DP_SMALL, self.pde_cfg(GP_DEG, 6.0))
 
     def test_removing_a_scenario_cannot_increase_value(self):
         model = build_iid_family(GP_AMB, 2, 2, 6)

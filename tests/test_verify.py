@@ -2,6 +2,7 @@
 errors, the inline path, and the semigroup suite's record order."""
 
 import os
+import threading
 import time
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from gexpect import verify
 from gexpect.cli import main
 from gexpect.errors import ValidationError
-from gexpect.verify import fork_map, run_suites, semigroup_suite
+from gexpect.parallel import fork_map
+from gexpect.verify import run_suites, semigroup_suite
 
 USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
@@ -41,6 +43,19 @@ def test_runs_inline_without_a_second_cpu(monkeypatch, platform):
     else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert fork_map(lambda _: os.getpid(), [0, 1, 2]) == [os.getpid()] * 3
+
+
+def test_runs_inline_beside_another_thread(monkeypatch):
+    # a fork taken while another thread runs can deadlock, whatever the CPU count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parked = threading.Event()
+    thread = threading.Thread(target=parked.wait)
+    thread.start()
+    try:
+        assert fork_map(lambda _: os.getpid(), [0, 1, 2]) == [os.getpid()] * 3
+    finally:
+        parked.set()
+        thread.join()
 
 
 @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
