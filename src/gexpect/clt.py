@@ -20,6 +20,7 @@ numpy's reduction order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,6 +33,11 @@ from .parallel import fork_map
 from .scenarios import DiscreteDistribution, ScenarioSet, canonical_laws, law_sums, stack_sets
 
 EPS_MAX = 0.25
+# seconds per unit of work of the two marches, as ``bench/tracing.py`` counts
+# it: a G-heat node update, and a nested-grid atom update (one atom of a step
+# applied on one grid node); traced medians on a 2-CPU x86-64, numpy 2.4
+HEAT_S_PER_NODE_UPDATE = 10e-9
+GRID_S_PER_ATOM_UPDATE = 3e-9
 
 
 @dataclass(frozen=True)
@@ -243,7 +249,9 @@ def run_clt(
 
     The PDE value and the nested value at each n share no state, so they go
     through ``fork_map`` as one queue, the PDE first and then n descending,
-    longest first. Each is the call a run in one process makes, so the rows
+    longest first, with each one's time estimated from its work count; a run
+    whose overlap could save little, such as each shipped preset's, stays in
+    this process. Each is the call a run in one process makes, so the rows
     are the same. A ``ValidationError`` or ``NumericsError`` is raised as a
     run in turn raises it: the PDE's first, then the one at the smallest n.
     """
@@ -281,7 +289,14 @@ def run_clt(
             return exc
 
     tasks = [None] + n_schedule[::-1]
-    values = dict(zip(tasks, fork_map(value, tasks)))
+    # the atoms of steps 1..n; an n below 1, refused by nested_expect, costs
+    # nothing; the lattice of exact_lattice mode is only sized inside
+    # nested_expect, so state_grid's node count stands in for it
+    atoms = [0, *accumulate(step.n_atoms for step in model.steps[: n_schedule[-1]])]
+    costs = [cfg_pde.n_steps * (cfg_pde.n_intervals + 1) * HEAT_S_PER_NODE_UPDATE] + [
+        atoms[max(n, 0)] * int(cfg_dp.state_grid[2]) * GRID_S_PER_ATOM_UPDATE for n in tasks[1:]
+    ]
+    values = dict(zip(tasks, fork_map(value, tasks, costs)))
     for n in [None] + n_schedule:
         if isinstance(values[n], Exception):
             raise values[n]

@@ -29,7 +29,7 @@ from gexpect import (
     stable_dt,
     value_at,
 )
-from gexpect import clt
+from gexpect import clt, parallel
 from gexpect.clt import EPS_MAX, ConvergenceReport, SequenceModel, reencode_model
 from gexpect.functions import const, coord, coord_abs_power, cosine, ramp
 from gexpect.nested import NestedEvalConfig
@@ -45,10 +45,12 @@ USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") e
 
 @pytest.fixture(params=[1, 2])
 def cpus(request, monkeypatch):
-    """``os.sched_getaffinity`` reports this many CPUs; two only where two are usable."""
+    """``os.sched_getaffinity`` reports this many CPUs; two only where two are usable.
+    Any saving is worth a pool, so the small runs of these tests fork with two."""
     if request.param > USABLE_CPUS:
         pytest.skip("needs two usable CPUs")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False)
+    monkeypatch.setattr(parallel, "MIN_FORK_SAVING_S", 0.0)
     return request.param
 
 
@@ -178,6 +180,8 @@ class TestRunCLT:
             run_clt(model, cosine(), [8, 4], DP_SMALL, pde)
         with pytest.raises(ValidationError, match="steps"):
             run_clt(model, cosine(), [16], DP_SMALL, pde)
+        with pytest.raises(ValidationError, match=r"^n must be >= 1$"):
+            run_clt(model, cosine(), [-100, 2], DP_SMALL, pde)
         narrow = SolverConfig(-6.0, 6.0, 0.05, stable_dt(GP_AMB, 0.05, 1.0), 1.0)
         with pytest.raises(ValidationError, match="half-width"):
             run_clt(model, cosine(), [4, 8], DP_SMALL, narrow)
@@ -219,10 +223,37 @@ class TestRunCLT:
 
     @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
     def test_rows_run_in_workers_with_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(parallel, "MIN_FORK_SAVING_S", 0.0)
         monkeypatch.setattr(clt, "nested_expect", lambda phi, model, n, cfg: float(os.getpid()))
         model = build_iid_family(GP_DEG, 1, 1, 32)
         report = run_clt(model, cosine(), [8, 16, 32], DP_SMALL, self.pde_cfg(GP_DEG, 6.0))
         assert os.getpid() not in [row[1] for row in report.rows]
+
+    def test_small_run_stays_in_this_process_with_two_cpus(self, monkeypatch):
+        # its rows would save about 0.01 s beside the PDE, less than a pool is worth
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(clt, "nested_expect", lambda phi, model, n, cfg: float(os.getpid()))
+        model = build_iid_family(GP_DEG, 1, 1, 32)
+        report = run_clt(model, cosine(), [8, 16, 32], DP_SMALL, self.pde_cfg(GP_DEG, 6.0))
+        assert [row[1] for row in report.rows] == [float(os.getpid())] * 3
+
+    def test_costs_are_the_work_counts_in_queue_order(self, monkeypatch):
+        seen = {}
+
+        def inline_map(fn, items, costs):
+            seen["costs"] = costs
+            return [fn(x) for x in items]
+
+        monkeypatch.setattr(clt, "fork_map", inline_map)
+        monkeypatch.setattr(clt, "nested_expect", lambda phi, model, n, cfg: 1.0)
+        model = build_iid_family(GP_AMB, 2, 3, 32)
+        pde_cfg = self.pde_cfg(GP_AMB, 12.5)
+        run_clt(model, cosine(), [8, 16, 32], DP_SMALL, pde_cfg)
+        atoms = model.steps[0].n_atoms
+        want = [pde_cfg.n_steps * 501 * clt.HEAT_S_PER_NODE_UPDATE] + [
+            n * atoms * 1251 * clt.GRID_S_PER_ATOM_UPDATE for n in (32, 16, 8)
+        ]
+        assert seen["costs"] == pytest.approx(want, rel=1e-12)
 
     def test_smallest_failing_n_is_raised(self, monkeypatch, cpus):
         def nested(phi, model, n, cfg):

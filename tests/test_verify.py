@@ -64,6 +64,20 @@ def test_runs_in_children_with_two_cpus():
     assert os.getpid() not in pids
 
 
+def test_runs_inline_when_the_costs_promise_little(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # spread over two workers, these save 0.03 s: within MIN_FORK_SAVING_S
+    assert fork_map(lambda _: os.getpid(), [0, 1, 2], [0.04, 0.02, 0.01]) == [os.getpid()] * 3
+
+
+@pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
+def test_runs_in_children_when_the_costs_promise_a_saving(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # spread over two workers, these save 0.2 s
+    pids = fork_map(lambda _: os.getpid(), [0, 1, 2], [0.3, 0.1, 0.1])
+    assert os.getpid() not in pids
+
+
 def test_semigroup_queue_keeps_the_record_order(monkeypatch):
     # a distinct value per config, growing with the march, so every
     # contraction check fails and its witness names the case and the values
