@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import ValidationError
 from .functions import TestFunction
 from .gfunction import GParams
 from .heat import SolverConfig, solve, value_at
@@ -248,12 +248,12 @@ def run_clt(
     domain must cover the 6-sigma envelope of the limit pair.
 
     The PDE value and the nested value at each n share no state, so they go
-    through ``fork_map`` as one queue, the PDE first and then n descending,
-    longest first, with each one's time estimated from its work count; a run
-    whose overlap could save little, such as each shipped preset's, stays in
-    this process. Each is the call a run in one process makes, so the rows
-    are the same. A ``ValidationError`` or ``NumericsError`` is raised as a
-    run in turn raises it: the PDE's first, then the one at the smallest n.
+    through ``fork_map`` in schedule order, the PDE first, with each one's
+    time estimated from its work count: a run whose overlap could save
+    little, such as each shipped preset's, stays in this process, and a
+    forked one starts the longest first. Each is the call a run in one
+    process makes, so the rows are the same, and the error raised is the
+    one a run in turn meets first: the PDE's, else the one at the smallest n.
     """
     schedule = []
     for n in n_schedule:
@@ -263,6 +263,8 @@ def run_clt(
     n_schedule = schedule
     if not n_schedule or any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValidationError("n_schedule must be nonempty and strictly increasing")
+    if n_schedule[0] < 1:
+        raise ValidationError("n must be >= 1")
     if n_schedule[-1] > len(model):
         raise ValidationError(
             f"schedule reaches n={n_schedule[-1]} but the model has {len(model)} steps"
@@ -279,29 +281,20 @@ def run_clt(
             f"required half-width {half!r}"
         )
 
-    def value(n: int | None):
-        """The PDE value (n None) or the nested value at n, or what it raised."""
-        try:
-            if n is None:
-                return value_at(solve(model.gp, phi, cfg_pde), 0.0)
-            return nested_expect(phi, model, n, cfg_dp)
-        except (ValidationError, NumericsError) as exc:
-            return exc
+    def value(n: int | None) -> float:
+        """The PDE value (n None) or the nested value at n."""
+        if n is None:
+            return value_at(solve(model.gp, phi, cfg_pde), 0.0)
+        return nested_expect(phi, model, n, cfg_dp)
 
-    tasks = [None] + n_schedule[::-1]
-    # the atoms of steps 1..n; an n below 1, refused by nested_expect, costs
-    # nothing; the lattice of exact_lattice mode is only sized inside
-    # nested_expect, so state_grid's node count stands in for it
+    # the atoms of steps 1..n; the lattice of exact_lattice mode is only sized
+    # inside nested_expect, so state_grid's node count stands in for it
     atoms = [0, *accumulate(step.n_atoms for step in model.steps[: n_schedule[-1]])]
     costs = [cfg_pde.n_steps * (cfg_pde.n_intervals + 1) * HEAT_S_PER_NODE_UPDATE] + [
-        atoms[max(n, 0)] * int(cfg_dp.state_grid[2]) * GRID_S_PER_ATOM_UPDATE for n in tasks[1:]
+        atoms[n] * int(cfg_dp.state_grid[2]) * GRID_S_PER_ATOM_UPDATE for n in n_schedule
     ]
-    values = dict(zip(tasks, fork_map(value, tasks, costs)))
-    for n in [None] + n_schedule:
-        if isinstance(values[n], Exception):
-            raise values[n]
-    pde = values[None]
-    return ConvergenceReport(rows=[(n, values[n], pde, abs(values[n] - pde)) for n in n_schedule])
+    pde, *lhs = fork_map(value, [None] + n_schedule, costs)
+    return ConvergenceReport(rows=[(n, v, pde, abs(v - pde)) for n, v in zip(n_schedule, lhs)])
 
 
 def reencode_model(model: SequenceModel, seed: int = 0) -> SequenceModel:

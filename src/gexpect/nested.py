@@ -111,11 +111,11 @@ def _float_gcd(a: float, b: float, tol: float) -> float:
 
 
 def _lattice_spacing(flat: np.ndarray) -> float:
-    """Common spacing of all step increments, or raise if none exists."""
-    nonzero = np.abs(flat[np.abs(flat) > 0])
+    """Common spacing of all step increments, those within rounding of 0 taken as 0, or raise."""
+    tol = _LATTICE_REL_TOL * max(1.0, float(np.abs(flat).max()))
+    nonzero = np.abs(flat[np.abs(flat) > tol])
     if nonzero.size == 0:
         return 1.0
-    tol = _LATTICE_REL_TOL * max(1.0, float(nonzero.max()))
     g = float(nonzero[0])
     for v in nonzero[1:]:
         g = _float_gcd(max(g, float(v)), min(g, float(v)), tol)

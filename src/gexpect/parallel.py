@@ -1,8 +1,8 @@
 """``fork_map``: a list comprehension spread over forked workers.
 
 ``verify.run_suites`` maps its campaigns and semigroup checks through it, and
-``clt.run_clt`` its PDE value and nested rows; both keep the values a run in
-one process computes.
+``clt.run_clt`` its PDE value and nested rows with their estimated costs;
+both get the values, and the first error, of a run in one process.
 
 A pool takes about 12 ms to start (median of 15 trivial maps on a 2-CPU
 x86-64 machine, Python 3.11), and two numpy marches side by side slow each
@@ -33,21 +33,21 @@ def _forked_task(index: int):
 def fork_map(fn, items: list, costs: list[float] | None = None) -> list:
     """``[fn(x) for x in items]``, computed on one forked worker per usable CPU.
 
-    Workers take items from one queue in input order, so a long task placed
-    first does not hold back the rest, and the results come back in input
-    order. ``fn`` and ``items`` reach the workers by fork inheritance, so
+    Workers take the items from one queue, the largest of the estimated
+    ``costs`` (seconds) first, ties and a map without costs in input order,
+    so a long item does not start last and hold back the end. Either way the
+    results come back in input order, and the first failure in input order
+    is raised here with its type and message; items not started by then
+    never run. ``fn`` and ``items`` reach the workers by fork inheritance, so
     closures, lambdas and module attributes rebound at run time work there as
-    in this process; only indices, results and exceptions are pickled. A
-    worker's exception is raised here with its type and message. The map runs
-    inline in this process with one usable CPU or one item, without
+    in this process; only indices, results and exceptions are pickled. The
+    map runs inline, in input order, with one usable CPU or one item, without
     ``os.sched_getaffinity`` (macOS and Windows, where fork is unsafe or
-    missing), and when the caller has other live threads (a threaded host
-    such as a notebook kernel), since a fork taken while another thread holds
-    a lock can deadlock; the pool forks every worker before it starts its own
-    manager thread. With ``costs``, the estimated seconds of each item, the
-    map also runs inline unless spreading the items over the workers could
-    save more than ``MIN_FORK_SAVING_S``: the total less the larger of the
-    longest item and the total's share per worker."""
+    missing), when the caller has other live threads (a threaded host such
+    as a notebook kernel), since a fork taken while another thread holds a
+    lock can deadlock, and when ``costs`` promise to save no more than
+    ``MIN_FORK_SAVING_S``: the total less the larger of the longest item and
+    the total's share per worker."""
     global _FORKED
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -59,9 +59,12 @@ def fork_map(fn, items: list, costs: list[float] | None = None) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    _FORKED = (fn, items)
+    _FORKED = (fn, items)  # the first submit forks every worker, then starts the pool's thread
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_forked_task, range(len(items))))
+        queue = sorted(range(len(items)), key=lambda i: -costs[i] if costs else 0)  # ties keep their order
+        futures = {i: pool.submit(_forked_task, i) for i in queue}
+        return [futures[i].result() for i in range(len(items))]
     finally:
+        pool.shutdown(cancel_futures=True)
         _FORKED = None

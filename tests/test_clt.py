@@ -1,5 +1,6 @@
 """Sequence builders, condition checkers, convergence runner, cross-encoding."""
 
+import dataclasses
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from gexpect import (
 from gexpect import clt, parallel
 from gexpect.clt import EPS_MAX, ConvergenceReport, SequenceModel, reencode_model
 from gexpect.functions import const, coord, coord_abs_power, cosine, ramp
+from gexpect.io import load_preset
 from gexpect.nested import NestedEvalConfig
 from gexpect.scenarios import DiscreteDistribution, ScenarioSet
 
@@ -212,14 +214,23 @@ class TestRunCLT:
         want = [(n, v, pde, abs(v - pde)) for n, v in zip(schedule, lhs)]
         assert run_clt(model, phi, schedule, DP_SMALL, pde_cfg).rows == want
 
-    def test_queue_is_the_pde_then_n_descending(self, monkeypatch):
+    def test_inline_calls_are_the_pde_then_the_schedule(self, monkeypatch):
         calls = []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(clt, "solve", lambda *args: calls.append("pde") or solve(*args))
         monkeypatch.setattr(clt, "nested_expect", lambda phi, model, n, cfg: calls.append(n) or 1.0)
         model = build_iid_family(GP_DEG, 1, 1, 32)
         run_clt(model, cosine(), [8, 16, 32], DP_SMALL, self.pde_cfg(GP_DEG, 6.0))
-        assert calls == ["pde", 32, 16, 8]
+        assert calls == ["pde", 8, 16, 32]
+
+    def test_n_below_1_is_refused_before_any_work(self, monkeypatch):
+        def no_march(*args):
+            raise AssertionError("the PDE march ran")
+
+        monkeypatch.setattr(clt, "solve", no_march)
+        model = build_iid_family(GP_AMB, 2, 2, 8)
+        with pytest.raises(ValidationError, match=r"^n must be >= 1$"):
+            run_clt(model, cosine(), [-100, 2], DP_SMALL, self.pde_cfg(GP_AMB, 12.5))
 
     @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
     def test_rows_run_in_workers_with_two_cpus(self, monkeypatch):
@@ -237,7 +248,7 @@ class TestRunCLT:
         report = run_clt(model, cosine(), [8, 16, 32], DP_SMALL, self.pde_cfg(GP_DEG, 6.0))
         assert [row[1] for row in report.rows] == [float(os.getpid())] * 3
 
-    def test_costs_are_the_work_counts_in_queue_order(self, monkeypatch):
+    def test_costs_are_the_work_counts_in_schedule_order(self, monkeypatch):
         seen = {}
 
         def inline_map(fn, items, costs):
@@ -251,9 +262,28 @@ class TestRunCLT:
         run_clt(model, cosine(), [8, 16, 32], DP_SMALL, pde_cfg)
         atoms = model.steps[0].n_atoms
         want = [pde_cfg.n_steps * 501 * clt.HEAT_S_PER_NODE_UPDATE] + [
-            n * atoms * 1251 * clt.GRID_S_PER_ATOM_UPDATE for n in (32, 16, 8)
+            n * atoms * 1251 * clt.GRID_S_PER_ATOM_UPDATE for n in (8, 16, 32)
         ]
         assert seen["costs"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("preset", ["classical-cos", "g-ambiguous", "g-perturbed"])
+    def test_shipped_presets_stay_in_this_process_with_two_cpus(self, monkeypatch, preset):
+        # their rows, about 0.02 s beside a 0.13 s PDE march, promise too little saving
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(clt, "nested_expect", lambda phi, model, n, cfg: float(os.getpid()))
+        p = load_preset(preset)
+        report = run_clt(p.build_model(), p.phi, p.n_schedule, p.dp, p.pde)
+        assert {row[1] for row in report.rows} == {float(os.getpid())}
+
+    @pytest.mark.parametrize("preset", ["g-ambiguous", "g-perturbed"])
+    def test_schedule_to_1024_forks_with_two_cpus(self, monkeypatch, preset):
+        # the rows to n = 1024 are estimated to save about 0.16 s beside the PDE march
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(clt, "nested_expect", lambda phi, model, n, cfg: float(os.getpid()))
+        p = dataclasses.replace(load_preset(preset), n_max=1024)
+        schedule = [2**k for k in range(3, 11)]
+        report = run_clt(p.build_model(), p.phi, schedule, p.dp, p.pde)
+        assert float(os.getpid()) not in {row[1] for row in report.rows}
 
     def test_smallest_failing_n_is_raised(self, monkeypatch, cpus):
         def nested(phi, model, n, cfg):

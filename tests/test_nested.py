@@ -19,7 +19,7 @@ from gexpect import (
     nested_expect,
 )
 from gexpect.clt import build_iid_family
-from gexpect.functions import coord, ramp, square
+from gexpect.functions import coord, cosine, ramp, square
 from gexpect.io import load_preset
 from gexpect.nested import GRID_NODE_CAP, POLICY_CAP, NestedEvalConfig, _stencils
 from gexpect.scenarios import stack_sets
@@ -302,6 +302,19 @@ def test_exact_lattice_covers_intermediate_partial_sums():
         assert nested_expect(phi, steps, n, LATTICE) == pytest.approx(
             bruteforce_nested(phi, steps, n), abs=ORACLE_TOL
         )
+
+
+def test_exact_lattice_takes_a_rounding_residue_for_zero():
+    """At n = 2 each step's x*sqrt(1/2) + y/2 cancels to a residue of about 1e-17,
+    which is no lattice step: the sums stay at 0, where cos is 1."""
+    r = 0.25 * math.sqrt(2.0)
+    steps = [
+        ScenarioSet([DiscreteDistribution.point_mass((-r, 0.5))]),
+        ScenarioSet([DiscreteDistribution.point_mass((0.5 * r, -0.25))]),
+    ]
+    assert nested_expect(cosine(), steps, 2, LATTICE) == pytest.approx(
+        bruteforce_nested(cosine(), steps, 2), abs=ORACLE_TOL
+    )
 
 
 def test_grid_interp_agrees_with_exact_lattice():

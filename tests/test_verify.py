@@ -1,12 +1,17 @@
-"""fork_map and the verify queue: input order, fork inheritance, worker
-errors, the inline path, and the semigroup suite's record order."""
+"""fork_map and the verify queue: input order, the largest cost first, fork
+inheritance, worker errors, the inline path, the semigroup suite's record
+order, and a CLI import that loads no pool machinery."""
 
 import os
+import subprocess
+import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import gexpect
 from gexpect import verify
 from gexpect.cli import main
 from gexpect.errors import ValidationError
@@ -76,6 +81,56 @@ def test_runs_in_children_when_the_costs_promise_a_saving(monkeypatch):
     # spread over two workers, these save 0.2 s
     pids = fork_map(lambda _: os.getpid(), [0, 1, 2], [0.3, 0.1, 0.1])
     assert os.getpid() not in pids
+
+
+def test_the_largest_cost_is_submitted_first(monkeypatch):
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording_submit(pool, fn, index):
+        submitted.append(index)
+        return submit(pool, fn, index)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+    assert fork_map(lambda x: 10 * x, [0, 1, 2, 3], [0.1, 0.3, 0.2, 0.3]) == [0, 10, 20, 30]
+    assert submitted == [1, 3, 2, 0]  # the two 0.3 s items in input order
+
+
+def test_the_first_failure_in_input_order_is_raised(monkeypatch):
+    # the costlier item 2 starts first and fails first, but item 0 comes first in the input
+    def check(x):
+        if x != 1:
+            raise ValidationError(f"item {x} refused")
+        return x
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(ValidationError, match=r"^item 0 refused$"):
+        fork_map(check, [0, 1, 2], [0.1, 0.1, 0.5])
+
+
+def test_inline_map_stops_at_the_first_failure(monkeypatch):
+    calls = []
+
+    def check(x):
+        calls.append(x)
+        if x == 1:
+            raise ValidationError(f"item {x} refused")
+        return x
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with pytest.raises(ValidationError, match=r"^item 1 refused$"):
+        fork_map(check, [0, 1, 2, 3])
+    assert calls == [0, 1]
+
+
+def test_cli_import_loads_no_pool_machinery():
+    # fork_map imports them on its first pool, so a run in one process never pays for them
+    src = os.path.dirname(os.path.dirname(gexpect.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, gexpect.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_semigroup_queue_keeps_the_record_order(monkeypatch):
