@@ -13,7 +13,6 @@ from gexpect import (
     ScenarioSet,
     expect,
     holder_check,
-    identically_distributed,
     lower_expect,
     verify_axioms,
 )
@@ -38,12 +37,10 @@ print(f"\naxiom certificate: all passed = {all(r.passed for r in reports.values(
 for r in reports.values():
     print(f"  {r.summary()}")
 
-# Distribution equality is certified over a supplied function family.
+# Reordering the scenarios leaves the upper expectation of every function unchanged.
 reordered = ScenarioSet(list(reversed(coin.dists)))
-print(
-    "\nsame law after reordering scenarios:",
-    identically_distributed(coin, reordered, [identity(), square(), cosine()], 1e-12),
-)
+gap = max(abs(expect(f, coin) - expect(f, reordered)) for f in [identity(), square(), cosine()])
+print(f"\nreordering the scenarios changes E[f] by at most {gap!r} over x, x^2, cos")
 
 # Hoelder and Lyapunov inequalities hold scenario-wise, hence for the max.
 rng = np.random.default_rng(1)

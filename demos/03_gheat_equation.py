@@ -10,10 +10,11 @@ defines the limit pair.
 
 import math
 
+import numpy as np
+
 from gexpect import (
     GParams,
     SolverConfig,
-    classical_oracle,
     g_eval,
     semigroup_check,
     solve,
@@ -33,7 +34,8 @@ cfg = SolverConfig(-7.0, 7.0, dx=0.02, dt=stable_dt(deg, 0.02, 1.0), t_final=1.0
 v = value_at(solve(deg, cosine(), cfg), 0.0)
 print(f"\ncos under the degenerate solver: {v:.6f}")
 print(f"closed form exp(-1/2):           {math.exp(-0.5):.6f}")
-print(f"Gauss-Hermite (32 nodes):        {classical_oracle(1.0, 0.0, 1.0, cosine(), 32):.6f}")
+z, w = np.polynomial.hermite.hermgauss(32)  # E[f(Z)] = sum w f(sqrt(2) z) / sqrt(pi)
+print(f"Gauss-Hermite (32 nodes):        {np.dot(w, np.cos(math.sqrt(2.0) * z)) / math.sqrt(math.pi):.6f}")
 
 # Ambiguous intervals: a convex nondecreasing payoff selects the upper
 # corner, giving the drifted-normal call value in closed form.

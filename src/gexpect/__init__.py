@@ -14,12 +14,11 @@ from .clt import (
 )
 from .errors import NumericsError, Report, ValidationError
 from .functions import TestFunction, named_function
-from .gfunction import GParams, beta, g_eval, verify_g_properties
+from .gfunction import GParams, g_eval, verify_g_properties
 from .heat import (
     SolverConfig,
     ValueFunction,
     cfl_limit,
-    classical_oracle,
     semigroup_check,
     solve,
     stable_dt,
@@ -31,7 +30,6 @@ from .scenarios import (
     ScenarioSet,
     expect,
     holder_check,
-    identically_distributed,
     lower_expect,
     verify_axioms,
 )
@@ -50,19 +48,16 @@ __all__ = [
     "TestFunction",
     "ValidationError",
     "ValueFunction",
-    "beta",
     "bruteforce_nested",
     "build_iid_family",
     "build_perturbed_family",
     "cfl_limit",
     "check_conditions",
-    "classical_oracle",
     "count_policies",
     "cross_space_check",
     "expect",
     "g_eval",
     "holder_check",
-    "identically_distributed",
     "lower_expect",
     "named_function",
     "nested_expect",

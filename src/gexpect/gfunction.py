@@ -9,7 +9,7 @@ is the maximum of the affine map (q, s2) -> q*p + s2*a/2 over the four
 corners of the uncertainty rectangle. It is sub-additive, positively
 homogeneous, monotone in ``a``, and uniformly elliptic with modulus
 ``sig2_lo``: the map a -> G(0, 2a) is piecewise linear with exactly the
-slopes sig2_lo and sig2_hi.
+slopes sig2_lo and sig2_hi. ``check_conditions`` reports it as ``beta``.
 """
 
 from __future__ import annotations
@@ -57,12 +57,6 @@ class GParams:
 def g_eval(gp: GParams, p: float, a: float) -> float:
     """G(p, a): worst-case drift plus half the worst-case diffusion."""
     return max(p * gp.mu_lo, p * gp.mu_hi) + 0.5 * max(a * gp.sig2_lo, a * gp.sig2_hi)
-
-
-def beta(gp: GParams) -> float:
-    """Tight ellipticity modulus: for a >= abar,
-    g_eval(gp, 0, 2a) - g_eval(gp, 0, 2*abar) >= sig2_lo * (a - abar)."""
-    return gp.sig2_lo
 
 
 _HOMOGENEITY_LAMBDAS = (0.0, 0.5, 1.0, 3.0)

@@ -294,20 +294,3 @@ def semigroup_check(gp: GParams, phi: TestFunction, a: float, b: float, cfg: Sol
     two, one = _march(np.array([v0, v0]), gp, cfg.dx, np.array([a * a, budget]) / n, n)
     two = _march(two, gp, cfg.dx, b * b / n, n)
     return float(np.max(np.abs(two[1:-1] - one[1:-1])))
-
-
-def classical_oracle(sigma: float, q: float, t: float, phi: TestFunction, quad_nodes: int) -> float:
-    """Gauss-Hermite value of E[phi(sigma*sqrt(t)*Z + q*t)], Z standard normal.
-
-    Independent verification path for point uncertainty intervals.
-    """
-    if sigma <= 0:
-        raise ValidationError("sigma must be positive")
-    if quad_nodes < 8:
-        raise ValidationError("need at least 8 quadrature nodes")
-    with np.errstate(all="ignore"):
-        z, w = np.polynomial.hermite.hermgauss(quad_nodes)
-    if not np.all(np.isfinite(w)):
-        raise NumericsError(f"quadrature weights overflow at {quad_nodes} nodes; use fewer")
-    pts = sigma * math.sqrt(t) * math.sqrt(2.0) * z + q * t
-    return float(np.dot(w, phi(pts)) / math.sqrt(math.pi))

@@ -264,13 +264,6 @@ def verify_axioms(s: ScenarioSet, fns, tol: float) -> dict[str, Report]:
     return {r.name: r for r in reports}
 
 
-def identically_distributed(s1: ScenarioSet, s2: ScenarioSet, fns, tol: float) -> bool:
-    """Certificate of equal upper expectations over the supplied family only."""
-    if s1.dim != s2.dim:
-        raise ValidationError(f"dimension mismatch: {s1.dim} != {s2.dim}")
-    return all(abs(expect(f, s1) - expect(f, s2)) <= tol for f in fns)
-
-
 def holder_check(s: ScenarioSet, p: float, q: float, tol: float) -> bool:
     """Hoelder inequality on a 2-d set, plus Lyapunov monotonicity at p'=p+1.
 

@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 # per demo, its printed certificates: patterns whose group is a difference, at most 1e-12
 CERTIFICATES = {
-    "01_scenario_expectations": [],
+    "01_scenario_expectations": [r"reordering the scenarios changes E\[f\] by at most (\S+)"],
     "02_nested_independence": [r"worst \|recursion - enumeration\| = (\S+)"],
     "04_clt_convergence": [r"re-encoding the scenario sets changes the value by (\S+)"],
 }

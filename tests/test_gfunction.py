@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexpect import GParams, ValidationError, beta, g_eval, verify_g_properties
+from gexpect import GParams, ValidationError, g_eval, verify_g_properties
 
 GP = GParams(-1.0, 1.0, 1.0, 4.0)
 
@@ -38,19 +38,17 @@ class TestGEval:
 
 
 class TestBeta:
-    def test_minimal_slope(self):
-        assert beta(GP) == 1.0
+    """The modulus is sig2_lo, the ``beta`` of ``check_conditions``' report."""
 
     def test_degenerate_interval_is_linear(self):
         gp = GParams(0.0, 0.0, 2.0, 2.0)
-        assert beta(gp) == 2.0
         for a, abar in [(-3.0, -5.0), (4.0, 1.0), (2.0, -2.0)]:
             lhs = g_eval(gp, 0.0, 2 * a) - g_eval(gp, 0.0, 2 * abar)
             assert lhs == pytest.approx(2.0 * (a - abar), abs=1e-12)
 
     def test_modulus_is_tight(self):
         rng = np.random.default_rng(31)
-        b = beta(GP)
+        b = GP.sig2_lo
         for _ in range(200):
             lo, hi = np.sort(rng.uniform(-10, 10, size=2))
             gap = g_eval(GP, 0.0, 2 * hi) - g_eval(GP, 0.0, 2 * lo)

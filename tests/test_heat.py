@@ -9,13 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gexpect import (
+    DiscreteDistribution,
     GParams,
+    NestedEvalConfig,
     NumericsError,
+    ScenarioSet,
     SolverConfig,
     TestFunction,
     ValidationError,
     cfl_limit,
-    classical_oracle,
+    nested_expect,
     semigroup_check,
     solve,
     stable_dt,
@@ -23,8 +26,9 @@ from gexpect import (
 )
 from gexpect.functions import TestFunction, const, coord, cosine, ramp
 from gexpect.heat import _march
-from gexpect.io import parse_solver_config
+from gexpect.io import load_preset, parse_solver_config
 from gexpect.nested import _aligned
+from oracles import classical_oracle
 
 DEG = GParams(0.0, 0.0, 1.0, 1.0)
 AMB = GParams(-1.0, 1.0, 1.0, 4.0)
@@ -435,10 +439,28 @@ class TestClassicalOracle:
             math.exp(-0.5), abs=1e-8
         )
 
-    def test_validation_and_overflow_guard(self):
-        with pytest.raises(ValidationError):
-            classical_oracle(0.0, 0.0, 1.0, cosine(), 16)
-        with pytest.raises(ValidationError):
-            classical_oracle(1.0, 0.0, 1.0, cosine(), 4)
-        with pytest.raises(NumericsError):
-            classical_oracle(1.0, 0.0, 1.0, cosine(), 400)
+
+def trinomial_step(gp, dx, dt, n):
+    """One explicit march step as one nested step: per corner (q, s2), the law
+    of Y on -dx*n, 0, +dx*n (X = 0), so that the nested step weight 1/n moves
+    the sum by -dx, 0 or +dx, one node, with the upwind weights of the march."""
+    laws = []
+    for q, s2 in corners(gp):
+        w_up = dt * (s2 / (2 * dx * dx) + max(q, 0.0) / dx)
+        w_down = dt * (s2 / (2 * dx * dx) + max(-q, 0.0) / dx)
+        atoms = [((0.0, -dx * n), w_down), ((0.0, 0.0), 1.0 - w_up - w_down), ((0.0, dx * n), w_up)]
+        laws.append(DiscreteDistribution(atoms))
+    return ScenarioSet(laws)
+
+
+class TestTrinomialReference:
+    def test_preset_solve_equals_the_nested_trinomial_march(self):
+        # the g-* presets share gp, phi and pde, so one run covers both
+        amb, per = load_preset("g-ambiguous"), load_preset("g-perturbed")
+        assert (amb.gp, amb.phi.name, amb.pde) == (per.gp, per.phi.name, per.pde)
+        gp, phi, cfg = amb.gp, amb.phi, amb.pde
+        n = cfg.n_steps
+        step = trinomial_step(gp, cfg.dx, cfg.dt, n)
+        grid = NestedEvalConfig((cfg.x_lo, cfg.x_hi, cfg.n_intervals + 1), "grid_interp")
+        nested = nested_expect(phi, [step] * n, n, grid)
+        assert abs(nested - value_at(solve(gp, phi, cfg), 0.0)) <= 1e-12

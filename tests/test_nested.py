@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gexpect import (
     DiscreteDistribution,
+    GParams,
     ScenarioSet,
     TestFunction,
     ValidationError,
@@ -24,6 +25,7 @@ from gexpect.io import load_preset
 from gexpect.nested import GRID_NODE_CAP, POLICY_CAP, NestedEvalConfig, _stencils
 from gexpect.scenarios import stack_sets
 from gexpect.verify import random_lattice_model
+from oracles import binomial_value
 
 LATTICE = NestedEvalConfig(mode="exact_lattice")
 ORACLE_TOL = 1e-12
@@ -325,6 +327,60 @@ def test_grid_interp_agrees_with_exact_lattice():
         phi, steps, 4, NestedEvalConfig((-8.0, 8.0, 16001), "grid_interp")
     )
     assert grid == pytest.approx(exact, abs=2e-4)
+
+
+@st.composite
+def convex_iid_models(draw):
+    """An iid product family with dyadic bounds (sigma in quarters, mu in
+    eighths), so that the exact lattice exists, and 2 or 3 levels per axis,
+    so that the family holds the top corner (sigma_hi, mu_hi)."""
+    s_lo, s_hi = sorted(draw(st.integers(1, 8)) / 4 for _ in range(2))
+    m_lo, m_hi = sorted(draw(st.integers(-8, 8)) / 8 for _ in range(2))
+    gp = GParams(m_lo, m_hi, s_lo**2, s_hi**2)
+    return build_iid_family(gp, draw(st.integers(2, 3)), draw(st.integers(2, 3)), 64)
+
+
+class TestClosedForms:
+    """For a convex nondecreasing phi each backward step keeps the value
+    convex and nondecreasing, so every step picks the law largest in convex
+    order and in mean, (sigma_hi, mu_hi), and the nested value is a binomial sum."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        model=convex_iid_models(),
+        ramps=st.lists(st.tuples(st.floats(-2, 2), st.floats(0, 2)), min_size=1, max_size=3),
+    )
+    def test_convex_payoff_equals_binomial_sum(self, model, ramps):
+        phi = TestFunction(
+            lambda x: sum(slope * np.maximum(x - strike, 0.0) for strike, slope in ramps), dim=1
+        )
+        gp = model.gp
+        for n in (4, 16, 64):
+            value = nested_expect(phi, model, n, LATTICE)
+            binomial = binomial_value(phi, gp.sigma_hi, gp.mu_hi, n)
+            assert abs(value - binomial) <= 1e-12 * max(1.0, abs(value))
+
+    def test_ramp_on_g_ambiguous_at_256(self):
+        preset = load_preset("g-ambiguous")
+        model = build_iid_family(preset.gp, preset.sigma_levels, preset.mean_levels, 256)
+        value = nested_expect(ramp(), model, 256, LATTICE)
+        binomial = binomial_value(ramp(), preset.gp.sigma_hi, preset.gp.mu_hi, 256)
+        assert abs(value - binomial) <= 1e-12 * max(1.0, abs(value))
+
+    def test_clipped_ramp_is_not_convex_and_exceeds_the_binomial_sum(self):
+        preset = load_preset("g-ambiguous")
+        assert preset.phi.name == "relu_clip:6"
+        model = build_iid_family(preset.gp, preset.sigma_levels, preset.mean_levels, 256)
+        for n in (16, 64, 256):
+            binomial = binomial_value(preset.phi, preset.gp.sigma_hi, preset.gp.mu_hi, n)
+            assert nested_expect(preset.phi, model, n, LATTICE) - binomial > 1e-3
+
+    def test_classical_cos_is_cos_of_the_step_to_the_n(self):
+        # one fair +/- n^-1/2 coin per step: E[cos(S)] = cos(n^-1/2)^n
+        model = load_preset("classical-cos").build_model()
+        for n in (8, 16, 64, 256):
+            value = nested_expect(cosine(), model, n, LATTICE)
+            assert abs(value - math.cos(n**-0.5) ** n) <= 1e-12
 
 
 class TestValidation:
