@@ -27,17 +27,12 @@ import numpy as np
 from .errors import ValidationError
 from .functions import TestFunction
 from .gfunction import GParams
-from .heat import SolverConfig, solve, value_at
-from .nested import NestedEvalConfig, nested_expect
+from .heat import HEAT_S_PER_NODE_UPDATE, SolverConfig, solve, value_at
+from .nested import GRID_S_PER_ATOM_UPDATE, NestedEvalConfig, nested_expect, step_counts
 from .parallel import fork_map
 from .scenarios import DiscreteDistribution, ScenarioSet, canonical_laws, law_sums, stack_sets
 
 EPS_MAX = 0.25
-# seconds per unit of work of the two marches, as ``bench/tracing.py`` counts
-# it: a G-heat node update, and a nested-grid atom update (one atom of a step
-# applied on one grid node); traced medians on a 2-CPU x86-64, numpy 2.4
-HEAT_S_PER_NODE_UPDATE = 10e-9
-GRID_S_PER_ATOM_UPDATE = 3e-9
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,6 @@ class SequenceModel:
 
     steps: tuple[ScenarioSet, ...]
     gp: GParams
-    family_label: str = ""
     ref_steps: tuple[ScenarioSet, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -123,7 +117,7 @@ def build_iid_family(
     mean_grid = np.linspace(gp.mu_lo, gp.mu_hi, mean_levels)
     step = _product_step(sigma_grid, mean_grid, label="iid-step")
     steps = tuple([step] * n_max)
-    return SequenceModel(steps=steps, gp=gp, family_label="iid", ref_steps=steps)
+    return SequenceModel(steps=steps, gp=gp, ref_steps=steps)
 
 
 def build_perturbed_family(base: SequenceModel, eps) -> SequenceModel:
@@ -161,7 +155,6 @@ def build_perturbed_family(base: SequenceModel, eps) -> SequenceModel:
     return SequenceModel(
         steps=tuple(steps),
         gp=base.gp,
-        family_label=f"perturbed[{base.family_label}]",
         ref_steps=base.ref_steps if base.ref_steps is not None else base.steps,
     )
 
@@ -243,7 +236,7 @@ def run_clt(
 ) -> ConvergenceReport:
     """Measure the convergence of the nested value to the PDE value.
 
-    One row per n in the (increasing) schedule of integers; the PDE reference
+    One row per n in the schedule (see ``nested.step_counts``); the PDE reference
     is computed once at (1, 0), so ``cfg_pde.t_final`` must be 1. The PDE
     domain must cover the 6-sigma envelope of the limit pair.
 
@@ -255,20 +248,7 @@ def run_clt(
     process makes, so the rows are the same, and the error raised is the
     one a run in turn meets first: the PDE's, else the one at the smallest n.
     """
-    schedule = []
-    for n in n_schedule:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValidationError(f"n_schedule entries must be integers, got {n!r}")
-        schedule.append(int(n))
-    n_schedule = schedule
-    if not n_schedule or any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
-        raise ValidationError("n_schedule must be nonempty and strictly increasing")
-    if n_schedule[0] < 1:
-        raise ValidationError("n must be >= 1")
-    if n_schedule[-1] > len(model):
-        raise ValidationError(
-            f"schedule reaches n={n_schedule[-1]} but the model has {len(model)} steps"
-        )
+    n_schedule = step_counts(n_schedule, len(model), "n_schedule")
     if cfg_pde.t_final != 1.0:
         raise ValidationError(
             f"the limit is the PDE value at t = 1, but cfg_pde.t_final = {cfg_pde.t_final!r}"
@@ -293,7 +273,7 @@ def run_clt(
     costs = [cfg_pde.n_steps * (cfg_pde.n_intervals + 1) * HEAT_S_PER_NODE_UPDATE] + [
         atoms[n] * int(cfg_dp.state_grid[2]) * GRID_S_PER_ATOM_UPDATE for n in n_schedule
     ]
-    pde, *lhs = fork_map(value, [None] + n_schedule, costs)
+    pde, *lhs = fork_map(value, [None, *n_schedule], costs)
     return ConvergenceReport(rows=[(n, v, pde, abs(v - pde)) for n, v in zip(n_schedule, lhs)])
 
 
@@ -318,7 +298,6 @@ def reencode_model(model: SequenceModel, seed: int = 0) -> SequenceModel:
     return SequenceModel(
         steps=tuple(steps),
         gp=model.gp,
-        family_label=model.family_label + "/reencoded",
         ref_steps=model.ref_steps,
     )
 

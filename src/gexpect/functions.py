@@ -80,8 +80,8 @@ def ramp(clip: float | None = None) -> TestFunction:
     """max(x, 0), optionally clipped to [0, clip]."""
     if clip is None:
         return TestFunction(lambda x: np.maximum(x, 0.0), 1, "relu")
-    if clip <= 0:
-        raise ValidationError("clip level must be positive")
+    if not clip > 0:
+        raise ValidationError(f"clip must be positive, got {clip!r}")
     return TestFunction(lambda x: np.clip(x, 0.0, clip), 1, f"relu_clip:{clip:g}")
 
 
@@ -146,4 +146,7 @@ def named_function(name: str, dim: int = 1, params: dict[str, float] | None = No
             raise ValidationError(
                 f"phi_params.{key} is not a parameter of {name!r}; it takes {sorted(known)}"
             )
-    return factory(**params)
+    try:
+        return factory(**params)
+    except ValidationError as exc:  # a parameter's value refused, named as phi_params.<key>
+        raise ValidationError(f"phi_params.{exc}") from None

@@ -86,6 +86,7 @@ from .nested import GRID_NODE_CAP, _aligned
 _GRID_INT_TOL = 1e-9
 CFL_SAFETY = 0.95
 MARCH_UPDATE_CAP = 10**9  # time steps x nodes of one march
+HEAT_S_PER_NODE_UPDATE = 10e-9  # seconds per node update, traced as nested.GRID_S_PER_ATOM_UPDATE is
 
 
 @dataclass(frozen=True)
@@ -277,12 +278,12 @@ def semigroup_check(gp: GParams, phi: TestFunction, a: float, b: float, cfg: Sol
     discrepancy measures scheme error and contracts under (dx, dt)
     refinement. A leg of zero horizon marches with dt = 0 and leaves its
     profile as it is, so with a = 0 or b = 0 the routes are the identical
-    computation and the discrepancy is exactly zero. Requires a^2 + b^2 <=
-    t_final, which also keeps every effective step within the configured
-    CFL bound, and, as ``solve`` does, a ``phi`` that is finite on the grid.
+    computation and the discrepancy is exactly zero. Requires finite a, b >= 0
+    with a^2 + b^2 <= t_final, which also keeps every effective step within the
+    configured CFL bound, and, as ``solve`` does, a ``phi`` finite on the grid.
     """
-    if a < 0 or b < 0:
-        raise ValidationError("need a, b >= 0")
+    if not (0 <= a < math.inf and 0 <= b < math.inf):
+        raise ValidationError(f"need finite a, b >= 0, got a={a!r}, b={b!r}")
     budget = a * a + b * b
     if budget > cfg.t_final * (1.0 + 1e-12):
         raise ValidationError(f"a^2 + b^2 = {budget!r} exceeds t_final budget {cfg.t_final!r}")

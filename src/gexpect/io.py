@@ -42,7 +42,7 @@ from .errors import ValidationError
 from .functions import TestFunction, named_function
 from .gfunction import GParams
 from .heat import SolverConfig, ValueFunction, stable_dt
-from .nested import GRID_NODE_CAP, NestedEvalConfig
+from .nested import GRID_NODE_CAP, NestedEvalConfig, step_counts
 from .scenarios import DiscreteDistribution, ScenarioSet
 
 LOADER_WEIGHT_TOL = 1e-9
@@ -103,6 +103,13 @@ def _prefixed(prefix: str, make, *args, **kwargs):
         raise ValidationError(f"{prefix}{exc}") from None
 
 
+def _string(obj: dict, key: str, where: str, default: str = "") -> str:
+    value = obj.get(key, default)
+    if not isinstance(value, str) or "\0" in value:
+        raise ValidationError(f"{where}.{key} must be a string without NUL, got {value!r}")
+    return value
+
+
 def parse_distribution(obj: dict, where: str) -> DiscreteDistribution:
     known_keys(obj, ("atoms",), where)
     rows = _require(obj, "atoms", where)
@@ -131,7 +138,7 @@ def parse_scenario_set(obj: dict, where: str) -> ScenarioSet:
     if not isinstance(dists_raw, list) or not dists_raw:
         raise ValidationError(f"{where}: 'dists' must be a nonempty list")
     dists = [parse_distribution(d, f"{where}.dists[{j}]") for j, d in enumerate(dists_raw)]
-    return _prefixed(f"{where}: ", ScenarioSet, dists, label=str(obj.get("label", "")))
+    return _prefixed(f"{where}: ", ScenarioSet, dists, label=_string(obj, "label", where))
 
 
 def load_steps_document(doc: dict) -> tuple[list[ScenarioSet], str]:
@@ -141,7 +148,7 @@ def load_steps_document(doc: dict) -> tuple[list[ScenarioSet], str]:
     if not isinstance(steps_raw, list) or not steps_raw:
         raise ValidationError("document: 'steps' must be a nonempty list")
     steps = [parse_scenario_set(s, f"steps[{i}]") for i, s in enumerate(steps_raw)]
-    return steps, str(doc.get("label", ""))
+    return steps, _string(doc, "label", "document")
 
 
 def parse_gparams(obj: dict) -> GParams:
@@ -237,19 +244,12 @@ def parse_preset(doc: dict) -> ExperimentPreset:
     known_keys(doc, PRESET_KEYS + (("eps_rule",) if family == "perturbed" else ()), "preset")
     fam = doc.get("family_params", {})
     known_keys(fam, ("sigma_levels", "mean_levels", "n_max"), "family_params")
+    n_max = _integer(fam["n_max"], "family_params.n_max") if "n_max" in fam else None
     raw = _require(doc, "n_schedule", "preset")
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError(f"preset.n_schedule must be a nonempty list of integers, got {raw!r}")
-    schedule = tuple(_integer(v, f"preset.n_schedule[{i}]") for i, v in enumerate(raw))
+    schedule = step_counts(raw, n_max, "preset.n_schedule", "family_params.n_max")
+    n_max = schedule[-1] if n_max is None else n_max
     sigma_levels = _integer(fam.get("sigma_levels", 2), "family_params.sigma_levels")
     mean_levels = _integer(fam.get("mean_levels", 2), "family_params.mean_levels")
-    n_max = _integer(fam.get("n_max", max(schedule)), "family_params.n_max")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValidationError(f"preset.n_schedule must be strictly increasing, got {list(schedule)!r}")
-    if schedule[-1] > n_max:
-        raise ValidationError(
-            f"preset.n_schedule must be at most family_params.n_max = {n_max}, got {list(schedule)!r}"
-        )
     if n_max * sigma_levels * mean_levels > MODEL_LAW_CAP:
         raise ValidationError(
             f"family_params.n_max x family_params.sigma_levels x family_params.mean_levels = "
@@ -258,9 +258,6 @@ def parse_preset(doc: dict) -> ExperimentPreset:
     gp = parse_gparams(_require(doc, "gp", "preset"))
     eps_rule = doc.get("eps_rule", {"kind": "zero"})
     eps_from_rule(eps_rule, 0)  # a bad rule is refused at load, before any build
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str) or "\0" in output_dir:
-        raise ValidationError(f"preset.output_dir must be a string without NUL, got {output_dir!r}")
     return ExperimentPreset(
         name=name,
         gp=gp,
@@ -274,7 +271,7 @@ def parse_preset(doc: dict) -> ExperimentPreset:
         dp=parse_nested_config(_require(doc, "dp", "preset")),
         pde=parse_solver_config(_require(doc, "pde", "preset"), gp, 1.0),
         tolerance=positive_number(_require(doc, "tolerance", "preset"), "preset.tolerance"),
-        output_dir=output_dir,
+        output_dir=_string(doc, "output_dir", "preset", "out"),
     )
 
 

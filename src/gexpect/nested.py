@@ -49,6 +49,9 @@ from .scenarios import ScenarioSet, stack_sets
 
 POLICY_CAP = 10**6
 GRID_NODE_CAP = 2_000_000
+# seconds per nested-grid atom update (one atom of a step applied on one grid node), as
+# ``bench/tracing.py`` counts it; traced median on a 2-CPU x86-64, numpy 2.4
+GRID_S_PER_ATOM_UPDATE = 3e-9
 _LATTICE_REL_TOL = 1e-9
 # largest plausible increment-to-spacing dynamic range; the tolerant GCD of
 # incommensurable increments runs far below this before hitting the noise floor
@@ -82,14 +85,31 @@ class NestedEvalConfig:
             raise ValidationError(f"x_range [{lo}, {hi}] must contain 0, the start of the recursion")
 
 
-def _first_steps(model, n: int) -> tuple[ScenarioSet, ...]:
-    """The first n steps of a model or step sequence; refused unless n >= 1, the model has
-    them, and they share one dimension (the first step that does not is named, 1-based)."""
-    steps = tuple(getattr(model, "steps", model))[:n]
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if len(steps) < n:
-        raise ValidationError(f"model has {len(steps)} steps, needs at least {n}")
+def step_counts(value, n_max: int | None, name: str, bound: str = "the model's step count") -> tuple:
+    """The one rule for step counts: an n is an int or numpy integer, not a bool, from 1 to
+    ``n_max`` (``bound`` names it; None sets no bound). The field ``"n"`` is one n, any other a
+    schedule: a nonempty, strictly increasing sequence of n (a list, a ``range``, a 1-d integer
+    array). Returns the n as ints, else raises ``ValidationError`` naming field, range and value."""
+    try:
+        ns = (value,) if name == "n" else tuple(value)
+    except TypeError:  # not a sequence
+        ns = ()
+    counts = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in ns)
+    if not (ns and counts and list(ns) == sorted(set(ns)) and (n_max is None or ns[-1] <= n_max)):
+        what = "an integer" if name == "n" else "a nonempty, strictly increasing sequence of integers"
+        span = ">= 1" if n_max is None else f"in [1, {n_max}] ({bound})"
+        raise ValidationError(f"{name} must be {what} {span}, got {value!r}")
+    return tuple(map(int, ns))
+
+
+def _first_steps(model, n, phi_of_sum: TestFunction | None = None) -> tuple[ScenarioSet, ...]:
+    """The first n steps of a model or step sequence; refused unless ``phi_of_sum``, if given, is a
+    function of one variable, n is a step count of the model (``step_counts``) and the steps share
+    one dimension (the first step that does not is named, 1-based)."""
+    if phi_of_sum is not None and phi_of_sum.dim != 1:
+        raise ValidationError("phi_of_sum must be a function of the scalar sum")
+    steps = tuple(getattr(model, "steps", model))
+    steps = steps[: step_counts(n, len(steps), "n")[0]]
     for i, step in enumerate(steps):
         if step.dim != steps[0].dim:
             raise ValidationError(f"step {i + 1} has dimension {step.dim}, expected {steps[0].dim}")
@@ -185,10 +205,8 @@ def nested_expect(phi_of_sum: TestFunction, model, n: int, cfg: NestedEvalConfig
     """Nested worst-case value of phi(sum of wx*X_i + wy*Y_i) over n steps,
     with the step weights (wx, wy) = (sqrt(1/n), 1/n) of S_n/sqrt(n) + T_n/n.
     """
-    if phi_of_sum.dim != 1:
-        raise ValidationError("phi_of_sum must be a function of the scalar sum")
-    steps = _first_steps(model, n)
-    wx, wy = _step_weights(n)
+    steps = _first_steps(model, n, phi_of_sum)
+    wx, wy = _step_weights(len(steps))
     slot = {}  # each distinct step object's position, in order of first use
     order = [slot.setdefault(id(step), len(slot)) for step in steps]
     points, w, starts, firsts = stack_sets(list({id(step): step for step in steps}.values()))
@@ -230,9 +248,7 @@ def bruteforce_nested(phi_of_sum: TestFunction, model, n: int) -> float:
     weights are those of ``nested_expect``, and more than ``POLICY_CAP``
     policies are refused.
     """
-    if phi_of_sum.dim != 1:
-        raise ValidationError("phi_of_sum must be a function of the scalar sum")
-    steps = _first_steps(model, n)
+    steps = _first_steps(model, n, phi_of_sum)
     n_policies = count_policies(steps, n)
     if n_policies > POLICY_CAP:
         raise ValidationError(f"policy count {n_policies} exceeds cap {POLICY_CAP}")

@@ -1,16 +1,16 @@
 """``fork_map``: a list comprehension spread over forked workers.
 
-``verify.run_suites`` maps its campaigns and semigroup checks through it, and
-``clt.run_clt`` its PDE value and nested rows with their estimated costs;
-both get the values, and the first error, of a run in one process.
+``verify.run_suites`` maps its semigroup checks and campaigns through it, and
+``clt.run_clt`` its PDE value and nested rows, both with estimated costs from
+which ``fork_map`` alone orders the queue and decides to fork; both get the
+values, and the first error, of a run in one process.
 
 A pool takes about 12 ms to start (median of 15 trivial maps on a 2-CPU
 x86-64 machine, Python 3.11), and two numpy marches side by side slow each
 other, so items that could save little gain nothing steady from a pool, and
-their time then varies with what else runs on the machine. A map given
-estimated ``costs`` that promise no more than ``MIN_FORK_SAVING_S`` runs
-inline: each shipped ``clt`` preset's rows, about 0.02 s beside a 0.13 s
-PDE march, stay in one process.
+their time then varies with what else runs on the machine. A map whose
+``costs`` promise no more than ``MIN_FORK_SAVING_S`` runs inline: each shipped
+``clt`` preset's rows, about 0.02 s beside a 0.13 s PDE march, stay in one process.
 """
 
 from __future__ import annotations
@@ -30,18 +30,18 @@ def _forked_task(index: int):
     return fn(items[index])
 
 
-def fork_map(fn, items: list, costs: list[float] | None = None) -> list:
+def fork_map(fn, items: list, costs: list[float]) -> list:
     """``[fn(x) for x in items]``, computed on one forked worker per usable CPU.
 
     Workers take the items from one queue, the largest of the estimated
-    ``costs`` (seconds) first, ties and a map without costs in input order,
-    so a long item does not start last and hold back the end. Either way the
-    results come back in input order, and the first failure in input order
-    is raised here with its type and message; items not started by then
-    never run. ``fn`` and ``items`` reach the workers by fork inheritance, so
-    closures, lambdas and module attributes rebound at run time work there as
-    in this process; only indices, results and exceptions are pickled. The
-    map runs inline, in input order, with one usable CPU or one item, without
+    ``costs`` (seconds) first, ties in input order, so a long item does not
+    start last and hold back the end. The results come back in input order,
+    and the first failure in input order is raised here with its type and
+    message; items not started by then never run. ``fn`` and ``items`` reach
+    the workers by fork inheritance, so closures, lambdas and module
+    attributes rebound at run time work there as in this process; only
+    indices, results and exceptions are pickled. The map runs inline, in
+    input order, with one usable CPU or one item, without
     ``os.sched_getaffinity`` (macOS and Windows, where fork is unsafe or
     missing), when the caller has other live threads (a threaded host such
     as a notebook kernel), since a fork taken while another thread holds a
@@ -54,7 +54,7 @@ def fork_map(fn, items: list, costs: list[float] | None = None) -> list:
     workers = min(len(items), cpus)
     if workers < 2 or threading.active_count() > 1:
         return [fn(x) for x in items]
-    if costs is not None and sum(costs) - max(max(costs), sum(costs) / workers) <= MIN_FORK_SAVING_S:
+    if sum(costs) - max(max(costs), sum(costs) / workers) <= MIN_FORK_SAVING_S:
         return [fn(x) for x in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -62,7 +62,7 @@ def fork_map(fn, items: list, costs: list[float] | None = None) -> list:
     _FORKED = (fn, items)  # the first submit forks every worker, then starts the pool's thread
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        queue = sorted(range(len(items)), key=lambda i: -costs[i] if costs else 0)  # ties keep their order
+        queue = sorted(range(len(items)), key=lambda i: -costs[i])  # ties keep their order
         futures = {i: pool.submit(_forked_task, i) for i in queue}
         return [futures[i].result() for i in range(len(items))]
     finally:

@@ -25,9 +25,9 @@ import math
 import numpy as np
 
 from .errors import Report
-from .functions import TestFunction, const
+from .functions import TestFunction, const, cosine
 from .gfunction import GParams, verify_g_properties
-from .heat import SolverConfig, semigroup_check, stable_dt
+from .heat import HEAT_S_PER_NODE_UPDATE, SolverConfig, semigroup_check, stable_dt
 from .nested import NestedEvalConfig, bruteforce_nested, nested_expect
 from .parallel import fork_map
 from .scenarios import DiscreteDistribution, ScenarioSet, holder_check, verify_axioms
@@ -161,8 +161,6 @@ _SEMIGROUP_CASES = (
 def _semigroup_checks() -> list[tuple]:
     """The ``semigroup_check`` arguments of the semigroup suite: per case, the
     coarse grid then the fine one."""
-    from .functions import cosine
-
     a = b = math.sqrt(0.5)
     dx = 0.02
     phi = cosine()
@@ -210,23 +208,20 @@ def run_suite(name: str, seed: int = 0) -> Report:
 def run_suites(names: list[str], seed: int = 0) -> list[Report]:
     """The reports of the named suites, in the order of ``names``.
 
-    The campaigns and the semigroup suite's four ``semigroup_check`` calls
-    share no state, so they go through ``fork_map`` as one queue: the
-    semigroup checks by march size (steps x nodes), largest first, then the
-    campaigns by name, which puts axioms, the heaviest, first. Every value
-    is the one the suite computes on its own."""
-    checks = dict(enumerate(_semigroup_checks())) if "semigroup" in names else {}
-
-    def march_size(i: int) -> int:
-        cfg = checks[i][-1]
-        return cfg.n_steps * (cfg.n_intervals + 1)
-
-    tasks = sorted(checks, key=march_size, reverse=True) + sorted(set(names) - {"semigroup"})
+    The semigroup suite's four ``semigroup_check`` calls and the campaigns
+    share no state, so they go through ``fork_map`` as one queue, in that
+    order, with their estimated costs: a check its three legs' node updates,
+    a campaign, which is not estimated, 0, so it queues after the marches.
+    Every value is the one the suite computes on its own."""
+    checks = _semigroup_checks() if "semigroup" in names else []
+    campaigns = [name for name in names if name != "semigroup"]
+    costs = [3 * cfg.n_steps * (cfg.n_intervals + 1) * HEAT_S_PER_NODE_UPDATE for *_, cfg in checks]
     values = fork_map(
-        lambda t: run_suite(t, seed) if isinstance(t, str) else semigroup_check(*checks[t]), tasks
+        lambda t: run_suite(t, seed) if isinstance(t, str) else semigroup_check(*t),
+        checks + campaigns,
+        costs + [0.0] * len(campaigns),
     )
-    done = dict(zip(tasks, values))
-    if checks:
-        done["semigroup"] = _semigroup_report([done[i] for i in sorted(checks)])
+    done = dict(zip(campaigns, values[len(checks) :]))
+    done["semigroup"] = _semigroup_report(values[: len(checks)])  # empty unless named
     return [done[name] for name in names]
 

@@ -125,6 +125,25 @@ class TestExpect:
         assert rc == 2
         assert "atom 1 must be" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({**RADEMACHER, "label": 5}, "document.label"),
+            ({**RADEMACHER, "label": None}, "document.label"),
+            ({"steps": [{**RADEMACHER["steps"][0], "label": {"a": 1}}]}, "steps[0].label"),
+            ({"steps": [RADEMACHER["steps"][0], {**RADEMACHER["steps"][0], "label": ["s"]}]}, "steps[1].label"),
+        ],
+        ids=["document-number", "document-null", "step-object", "second-step-list"],
+    )
+    def test_a_label_that_is_no_string_is_refused(self, tmp_path, capsys, doc, field):
+        assert main(["expect", "x2", "--config", write(tmp_path, "l.json", doc)]) == 2
+        assert capsys.readouterr().out.startswith(f"error: {field} must be a string")
+
+    def test_string_labels_are_read(self, tmp_path, capsys):
+        doc = {"steps": [{**RADEMACHER["steps"][0], "label": "coin"}], "label": "rademacher"}
+        assert main(["expect", "x2", "--config", write(tmp_path, "l.json", doc)]) == 0
+        assert capsys.readouterr().out == "E[x^2] = 1.0   -E[-x^2] = 1.0\n"
+
     def test_mixed_step_dimensions_refused_before_printing(self, tmp_path, capsys):
         doc = {"steps": [RADEMACHER["steps"][0], {"dists": [{"atoms": [[1, 2, 1.0]]}]}]}
         rc = main(["expect", "x2", "--config", write(tmp_path, "d.json", doc)])
@@ -186,7 +205,7 @@ class TestClt:
             (None, "n_schedule", "abc", "preset.n_schedule"),
             (None, "n_schedule", [], "preset.n_schedule"),
             (None, "n_schedule", 5, "preset.n_schedule"),
-            (None, "n_schedule", [2.5, 4], "preset.n_schedule[0]"),
+            (None, "n_schedule", [2.5, 4], "preset.n_schedule"),
             ("family_params", "n_max", "abc", "family_params.n_max"),
             ("family_params", "sigma_levels", "abc", "family_params.sigma_levels"),
             ("family_params", "mean_levels", "abc", "family_params.mean_levels"),
@@ -264,27 +283,22 @@ class TestClt:
 
     @pytest.mark.parametrize("command", ["clt", "check-conditions"])
     @pytest.mark.parametrize(
-        "schedule, message",
+        "schedule",
         [
-            pytest.param(
-                [4, 2], "preset.n_schedule must be strictly increasing, got [4, 2]", id="decreasing"
-            ),
-            pytest.param(
-                [2, 2], "preset.n_schedule must be strictly increasing, got [2, 2]", id="repeated"
-            ),
-            pytest.param(
-                [2, 8],
-                "preset.n_schedule must be at most family_params.n_max = 4, got [2, 8]",
-                id="past-n-max",
-            ),
+            pytest.param([4, 2], id="decreasing"),
+            pytest.param([2, 2], id="repeated"),
+            pytest.param([2, 8], id="past-n-max"),
         ],
     )
-    def test_schedule_is_checked_at_load(self, tmp_path, capsys, command, schedule, message):
+    def test_schedule_is_checked_at_load(self, tmp_path, capsys, command, schedule):
         # SMALL sets family_params.n_max = 4
         config = write(tmp_path, "p.json", {**SMALL, "n_schedule": schedule})
         out = tmp_path / "out"
         assert main([command, "--config", config, "--out", str(out)]) == 2
-        assert capsys.readouterr().out == f"error: {message}\n"
+        assert capsys.readouterr().out == (
+            "error: preset.n_schedule must be a nonempty, strictly increasing sequence of integers "
+            f"in [1, 4] (family_params.n_max), got {schedule}\n"
+        )
         assert not out.exists()
 
     def test_eps_rule_needs_the_perturbed_family(self, tmp_path, capsys):
@@ -322,6 +336,16 @@ class TestVerify:
         # semigroup reads no seed, and is refused all the same
         assert main(["verify", suite, "--seed", "-5"]) == 2
         assert capsys.readouterr().out == "error: --seed must be a nonnegative integer, got -5\n"
+
+
+@pytest.mark.parametrize("command", ["clt", "check-conditions", "solve"])
+@pytest.mark.parametrize("clip", [-1.0, 0.0])
+def test_a_refused_phi_parameter_is_named(tmp_path, capsys, command, clip):
+    doc = SOLVE if command == "solve" else SMALL
+    section = "document" if command == "solve" else "preset"
+    bad = {**doc, "phi": "relu_clip", "phi_params": {"clip": clip}}
+    assert main([command, "--config", write(tmp_path, "c.json", bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == f"error: {section}.phi_params.clip must be positive, got {clip!r}\n"
 
 
 class TestSolveAndConditions:

@@ -178,11 +178,12 @@ class TestRunCLT:
     def test_validations(self):
         model = build_iid_family(GP_AMB, 2, 2, 8)
         pde = self.pde_cfg(GP_AMB, 12.5)
-        with pytest.raises(ValidationError, match="increasing"):
+        rule = r"^n_schedule must be a nonempty, strictly increasing sequence of integers in \[1, 8\] "
+        with pytest.raises(ValidationError, match=rule + r"\(the model's step count\), got \[8, 4\]$"):
             run_clt(model, cosine(), [8, 4], DP_SMALL, pde)
-        with pytest.raises(ValidationError, match="steps"):
+        with pytest.raises(ValidationError, match=rule + r"\(the model's step count\), got \[16\]$"):
             run_clt(model, cosine(), [16], DP_SMALL, pde)
-        with pytest.raises(ValidationError, match=r"^n must be >= 1$"):
+        with pytest.raises(ValidationError, match=rule + r"\(the model's step count\), got \[-100, 2\]$"):
             run_clt(model, cosine(), [-100, 2], DP_SMALL, pde)
         narrow = SolverConfig(-6.0, 6.0, 0.05, stable_dt(GP_AMB, 0.05, 1.0), 1.0)
         with pytest.raises(ValidationError, match="half-width"):
@@ -198,9 +199,9 @@ class TestRunCLT:
     def test_schedule_entries_must_be_integers(self):
         model = build_iid_family(GP_DEG, 1, 1, 16)
         pde = self.pde_cfg(GP_DEG, 6.0)
-        with pytest.raises(ValidationError, match=r"integers, got 8\.9$"):
+        with pytest.raises(ValidationError, match=r"integers in \[1, 16\] .*, got \[8\.9, 16\]$"):
             run_clt(model, cosine(), [8.9, 16], DP_SMALL, pde)
-        with pytest.raises(ValidationError, match=r"integers, got True$"):
+        with pytest.raises(ValidationError, match=r"integers in \[1, 16\] .*, got \[True, 16\]$"):
             run_clt(model, cosine(), [True, 16], DP_SMALL, pde)
         report = run_clt(model, cosine(), np.array([8, 16]), DP_SMALL, pde)
         assert [row[0] for row in report.rows] == [8, 16]
@@ -229,7 +230,7 @@ class TestRunCLT:
 
         monkeypatch.setattr(clt, "solve", no_march)
         model = build_iid_family(GP_AMB, 2, 2, 8)
-        with pytest.raises(ValidationError, match=r"^n must be >= 1$"):
+        with pytest.raises(ValidationError, match=r"^n_schedule must be .*, got \[-100, 2\]$"):
             run_clt(model, cosine(), [-100, 2], DP_SMALL, self.pde_cfg(GP_AMB, 12.5))
 
     @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
@@ -366,7 +367,8 @@ class TestCrossSpace:
 
     def test_length_validation(self):
         model = build_iid_family(GP_AMB, 2, 2, 2)
-        with pytest.raises(ValidationError, match="^model has 2 steps, needs at least 5$"):
+        want = r"^n must be an integer in \[1, 2\] \(the model's step count\), got 5$"
+        with pytest.raises(ValidationError, match=want):
             cross_space_check(model, cosine(), 5, DP_SMALL)
 
 

@@ -21,8 +21,8 @@ def test_one_array_per_coordinate():
 
 def test_clip_level_must_be_positive():
     assert ramp(clip=2.0)(np.array([-1.0, 1.0, 3.0])).tolist() == [0.0, 1.0, 2.0]
-    for clip in (0.0, -1.0):
-        with pytest.raises(ValidationError, match="^clip level must be positive$"):
+    for clip in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValidationError, match=f"^clip must be positive, got {clip}$"):
             ramp(clip=clip)
 
 

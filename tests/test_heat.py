@@ -25,6 +25,7 @@ from gexpect import (
     value_at,
 )
 from gexpect.functions import TestFunction, const, coord, cosine, ramp
+from gexpect import heat
 from gexpect.heat import _march
 from gexpect.io import load_preset, parse_solver_config
 from gexpect.nested import _aligned
@@ -307,6 +308,18 @@ class TestSemigroup:
             semigroup_check(DEG, cosine(), 1.0, 1.0, cfg)  # 2 > t_final = 1
         with pytest.raises(ValidationError):
             semigroup_check(DEG, cosine(), -0.5, 0.5, cfg)
+
+    @pytest.mark.parametrize(
+        "a, b", [(math.nan, 0.5), (0.5, math.nan), (-math.inf, 0.5), (0.5, math.inf), (-0.5, 0.5)]
+    )
+    def test_a_and_b_are_refused_before_any_march(self, monkeypatch, a, b):
+        def no_march(*args):
+            raise AssertionError("a leg was marched")
+
+        monkeypatch.setattr(heat, "_march", no_march)
+        cfg = cfg_for(DEG, 7.0, dx=0.1)
+        with pytest.raises(ValidationError, match=rf"^need finite a, b >= 0, got a={a!r}, b={b!r}$"):
+            semigroup_check(DEG, cosine(), a, b, cfg)
 
 
 class TestConfigAndErrors:

@@ -225,7 +225,8 @@ class TestPresets:
         pre = load_preset("g-perturbed")
         model = pre.build_model()
         assert len(model) == 256
-        assert model.family_label.startswith("perturbed")
+        # perturbed: every step's atoms differ from its base step's
+        assert all(not np.array_equal(s.points, r.points) for s, r in zip(model.steps, model.ref_steps))
 
 
 class TestWriters:

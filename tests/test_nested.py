@@ -400,11 +400,10 @@ class TestValidation:
         for evaluate in (lambda n: nested_expect(square(), steps, n, LATTICE),
                          lambda n: bruteforce_nested(square(), steps, n),
                          lambda n: count_policies(steps, n)):  # refused as the evaluators refuse
-            for n in (0, -3):
-                with pytest.raises(ValidationError, match="^n must be >= 1$"):
+            for n in (0, -3, 3):
+                want = rf"^n must be an integer in \[1, 2\] \(the model's step count\), got {n}$"
+                with pytest.raises(ValidationError, match=want):
                     evaluate(n)
-            with pytest.raises(ValidationError, match="^model has 2 steps, needs at least 3$"):
-                evaluate(3)
 
     def test_lattice_rejects_incommensurable_increments(self):
         step = ScenarioSet(

@@ -1,6 +1,7 @@
 """fork_map and the verify queue: input order, the largest cost first, fork
-inheritance, worker errors, the inline path, the semigroup suite's record
-order, and a CLI import that loads no pool machinery."""
+inheritance, worker errors, the inline path, the verify queue's submit order,
+the semigroup suite's record order, and a CLI import that loads no pool
+machinery. Costs of 1 s an item promise a saving, so such maps fork."""
 
 import os
 import subprocess
@@ -12,9 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import gexpect
-from gexpect import verify
+from gexpect import parallel, verify
 from gexpect.cli import main
-from gexpect.errors import ValidationError
+from gexpect.errors import Report, ValidationError
 from gexpect.parallel import fork_map
 from gexpect.verify import run_suites, semigroup_suite
 
@@ -23,12 +24,12 @@ USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") e
 
 def test_results_keep_input_order():
     # earlier items sleep longer, so later items finish first
-    assert fork_map(lambda x: time.sleep(0.02 * (4 - x)) or x, range(5)) == [0, 1, 2, 3, 4]
+    assert fork_map(lambda x: time.sleep(0.02 * (4 - x)) or x, range(5), [1.0] * 5) == [0, 1, 2, 3, 4]
 
 
 def test_closure_over_a_local_reaches_the_workers():
     offset = 10
-    assert fork_map(lambda x: x + offset, [1, 2, 3]) == [11, 12, 13]
+    assert fork_map(lambda x: x + offset, [1, 2, 3], [1.0] * 3) == [11, 12, 13]
 
 
 def test_worker_error_is_raised_with_its_type_and_message():
@@ -38,7 +39,7 @@ def test_worker_error_is_raised_with_its_type_and_message():
         return x
 
     with pytest.raises(ValidationError, match=r"^item 2 refused$"):
-        fork_map(check, [0, 1, 2, 3])
+        fork_map(check, [0, 1, 2, 3], [1.0] * 4)
 
 
 @pytest.mark.parametrize("platform", ["one-cpu", "no-affinity"])
@@ -47,7 +48,7 @@ def test_runs_inline_without_a_second_cpu(monkeypatch, platform):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert fork_map(lambda _: os.getpid(), [0, 1, 2]) == [os.getpid()] * 3
+    assert fork_map(lambda _: os.getpid(), [0, 1, 2], [1.0] * 3) == [os.getpid()] * 3
 
 
 def test_runs_inline_beside_another_thread(monkeypatch):
@@ -57,7 +58,7 @@ def test_runs_inline_beside_another_thread(monkeypatch):
     thread = threading.Thread(target=parked.wait)
     thread.start()
     try:
-        assert fork_map(lambda _: os.getpid(), [0, 1, 2]) == [os.getpid()] * 3
+        assert fork_map(lambda _: os.getpid(), [0, 1, 2], [1.0] * 3) == [os.getpid()] * 3
     finally:
         parked.set()
         thread.join()
@@ -65,7 +66,7 @@ def test_runs_inline_beside_another_thread(monkeypatch):
 
 @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
 def test_runs_in_children_with_two_cpus():
-    pids = fork_map(lambda _: os.getpid(), [0, 1, 2])
+    pids = fork_map(lambda _: os.getpid(), [0, 1, 2], [1.0] * 3)
     assert os.getpid() not in pids
 
 
@@ -97,6 +98,40 @@ def test_the_largest_cost_is_submitted_first(monkeypatch):
     assert submitted == [1, 3, 2, 0]  # the two 0.3 s items in input order
 
 
+def test_verify_all_submits_the_largest_march_first_then_the_campaigns(monkeypatch):
+    queue = {}
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording_fork_map(fn, items, costs):
+        queue["items"] = items
+        return parallel.fork_map(fn, items, costs)
+
+    def recording_submit(pool, fn, index):
+        task = queue["items"][index]
+        submitted.append(task if isinstance(task, str) else (task[-1].n_steps, task[-1].n_intervals + 1))
+        return submit(pool, fn, index)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+    monkeypatch.setattr(verify, "fork_map", recording_fork_map)
+    monkeypatch.setattr(verify, "semigroup_check", lambda *args: 0.0)  # keeps the run short
+    for name in ("axioms", "gfunction", "holder", "oracle"):
+        monkeypatch.setitem(verify.SUITES, name, lambda seed=0, name=name: Report(name))
+    reports = run_suites(sorted(verify.SUITES), 20260801)
+    assert [r.name for r in reports] == sorted(verify.SUITES)
+    assert submitted == [
+        (42316, 2601),  # ambiguous, fine
+        (10528, 1401),  # degenerate, fine
+        (10579, 1301),  # ambiguous, coarse
+        (2632, 701),  # degenerate, coarse
+        "axioms",
+        "gfunction",
+        "holder",
+        "oracle",
+    ]
+
+
 def test_the_first_failure_in_input_order_is_raised(monkeypatch):
     # the costlier item 2 starts first and fails first, but item 0 comes first in the input
     def check(x):
@@ -120,7 +155,7 @@ def test_inline_map_stops_at_the_first_failure(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     with pytest.raises(ValidationError, match=r"^item 1 refused$"):
-        fork_map(check, [0, 1, 2, 3])
+        fork_map(check, [0, 1, 2, 3], [1.0] * 4)
     assert calls == [0, 1]
 
 
