@@ -25,7 +25,6 @@ from .io import (
     parse_gparams,
     parse_phi,
     parse_solver_config,
-    positive_number,
     read_json,
     write_condition_report_json,
     write_convergence_csv,
@@ -52,13 +51,12 @@ def cmd_expect(config_path: str, function_name: str) -> int:
     return 0
 
 
-def cmd_clt(preset_path: str, out_dir: str | None, tol_override: float | None) -> int:
+def cmd_clt(preset_path: str, out_dir: str) -> int:
     preset = load_preset(preset_path)
-    tolerance = preset.tolerance if tol_override is None else positive_number(tol_override, "--tol")
     model = preset.build_model()
     report = run_clt(model, preset.phi, preset.n_schedule, preset.dp, preset.pde)
     conditions = check_conditions(model)
-    out = Path(out_dir if out_dir is not None else preset.output_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{preset.name}.csv"
     json_path = out / f"{preset.name}-conditions.json"
@@ -67,10 +65,10 @@ def cmd_clt(preset_path: str, out_dir: str | None, tol_override: float | None) -
     for n, lhs, pde, e_n in report.rows:
         print(f"n={n:<5d} lhs={lhs:.8f}  pde={pde:.8f}  e_n={e_n:.3e}")
     print(f"wrote {csv_path} and {json_path}")
-    if report.final_error <= tolerance:
-        print(f"converged: final e_n = {report.final_error:.3e} <= tolerance {tolerance:g}")
+    if report.final_error <= preset.tolerance:
+        print(f"converged: final e_n = {report.final_error:.3e} <= tolerance {preset.tolerance:g}")
         return 0
-    print(f"criterion missed: final e_n = {report.final_error:.3e} > tolerance {tolerance:g}")
+    print(f"criterion missed: final e_n = {report.final_error:.3e} > tolerance {preset.tolerance:g}")
     return 1
 
 
@@ -101,15 +99,15 @@ def cmd_solve(config_path: str, out_dir: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{label}.csv"
     write_value_function_csv(vf, path)
-    print(f"wrote {path} ({vf.grid_values.size} nodes at t={vf.t:g})")
+    print(f"wrote {path} ({vf.grid_values.size} nodes at t={cfg.t_final:g})")
     return 0
 
 
-def cmd_check_conditions(preset_path: str, out_dir: str | None) -> int:
+def cmd_check_conditions(preset_path: str, out_dir: str) -> int:
     preset = load_preset(preset_path)
     model = preset.build_model()
     report = check_conditions(model)
-    out = Path(out_dir if out_dir is not None else preset.output_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{preset.name}-conditions.json"
     write_condition_report_json(report, path)
@@ -125,27 +123,25 @@ def cmd_check_conditions(preset_path: str, out_dir: str | None) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gexpect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    writes = argparse.ArgumentParser(add_help=False)  # the option of every command that writes files
+    writes.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("expect", help="upper/lower expectation of a named function")
     p.add_argument("function", help="function name (e.g. x, x2, cos)")
     p.add_argument("--config", required=True, help="scenario document (JSON)")
 
-    p = sub.add_parser("clt", help="run a convergence experiment preset")
+    p = sub.add_parser("clt", parents=[writes], help="run a convergence experiment preset")
     p.add_argument("--config", required=True, help="preset path or shipped preset name")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--tol", type=float, default=None, help="override the preset tolerance")
 
     p = sub.add_parser("verify", help="run a randomized verification suite")
     p.add_argument("suite", help=f"one of {sorted(SUITES) + ['all']}")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = sub.add_parser("solve", help="solve the PDE and dump the profile as CSV")
+    p = sub.add_parser("solve", parents=[writes], help="solve the PDE and dump the profile as CSV")
     p.add_argument("--config", required=True, help="document with gp, phi, pde")
-    p.add_argument("--out", default="out", help="output directory")
 
-    p = sub.add_parser("check-conditions", help="hypothesis report for a preset's model")
+    p = sub.add_parser("check-conditions", parents=[writes], help="hypothesis report for a preset's model")
     p.add_argument("--config", required=True, help="preset path or shipped preset name")
-    p.add_argument("--out", default=None, help="output directory")
 
     return parser
 
@@ -154,7 +150,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     commands = {
         "expect": lambda: cmd_expect(args.config, args.function),
-        "clt": lambda: cmd_clt(args.config, args.out, args.tol),
+        "clt": lambda: cmd_clt(args.config, args.out),
         "verify": lambda: cmd_verify(args.suite, args.seed),
         "solve": lambda: cmd_solve(args.config, args.out),
         "check-conditions": lambda: cmd_check_conditions(args.config, args.out),

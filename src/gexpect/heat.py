@@ -159,10 +159,9 @@ def stable_dt(gp: GParams, dx: float, t_total: float) -> float:
 
 @dataclass(frozen=True)
 class ValueFunction:
-    """Grid profile of the running solution at time ``t``."""
+    """Grid profile of the solution at time ``config.t_final``."""
 
     grid_values: np.ndarray
-    t: float
     config: SolverConfig
 
     @property
@@ -257,7 +256,7 @@ def solve(gp: GParams, phi: TestFunction, cfg: SolverConfig) -> ValueFunction:
         raise ValidationError("the solver evolves functions of one variable")
     cfg.check_cfl(gp)
     out = _march(_initial_data(phi, cfg), gp, cfg.dx, cfg.dt, cfg.n_steps)
-    return ValueFunction(grid_values=out, t=cfg.t_final, config=cfg)
+    return ValueFunction(grid_values=out, config=cfg)
 
 
 def value_at(vf: ValueFunction, x: float) -> float:

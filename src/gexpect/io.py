@@ -12,6 +12,9 @@ Wire formats:
 
 * uncertainty bounds: ``{ "mu": [lo, hi], "sigma2": [lo, hi] }``
 
+* nested-recursion section: ``{ "x_range": [lo, hi], "num_points": ..., "mode": ... }``,
+  read by ``NestedEvalConfig``, which checks ``num_points`` and owns the default mode.
+
 * PDE section: ``{ "x_range": [lo, hi], "dx": ... }``. The time step is
   derived, ``dt = stable_dt(gp, dx, t_final)``, and a preset's horizon is
   t = 1, the time of the limit value. The ``gexpect solve`` document's
@@ -42,14 +45,14 @@ from .errors import ValidationError
 from .functions import TestFunction, named_function
 from .gfunction import GParams
 from .heat import SolverConfig, ValueFunction, stable_dt
-from .nested import GRID_NODE_CAP, NestedEvalConfig, step_counts
+from .nested import NestedEvalConfig, step_counts
 from .scenarios import DiscreteDistribution, ScenarioSet
 
 LOADER_WEIGHT_TOL = 1e-9
 MODEL_LAW_CAP = 100_000  # n_max x sigma_levels x mean_levels
 PRESET_KEYS = (
     "name", "gp", "family", "family_params", "phi", "phi_params", "n_schedule",
-    "dp", "pde", "tolerance", "output_dir",
+    "dp", "pde", "tolerance",
 )
 
 
@@ -80,10 +83,9 @@ def positive_number(value, name: str) -> float:
     return float(value)
 
 
-def _integer(value, name: str, lo: int = 1, hi: float = math.inf) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
-        span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-        raise ValidationError(f"{name} must be an integer {span}, got {value!r}")
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
     return value
 
 
@@ -103,8 +105,8 @@ def _prefixed(prefix: str, make, *args, **kwargs):
         raise ValidationError(f"{prefix}{exc}") from None
 
 
-def _string(obj: dict, key: str, where: str, default: str = "") -> str:
-    value = obj.get(key, default)
+def _string(obj: dict, key: str, where: str) -> str:
+    value = obj.get(key, "")
     if not isinstance(value, str) or "\0" in value:
         raise ValidationError(f"{where}.{key} must be a string without NUL, got {value!r}")
     return value
@@ -169,9 +171,9 @@ def parse_solver_config(obj: dict, gp: GParams, t_final: float | None) -> Solver
 
 def parse_nested_config(obj: dict) -> NestedEvalConfig:
     known_keys(obj, ("x_range", "num_points", "mode"), "dp")
-    num = _integer(_require(obj, "num_points", "dp"), "dp.num_points", 2, GRID_NODE_CAP)
+    num = _require(obj, "num_points", "dp")
     grid = (*_pair(obj, "x_range", "dp"), num)
-    return _prefixed("dp.", NestedEvalConfig, grid, str(obj.get("mode", "grid_interp")))
+    return _prefixed("dp.", NestedEvalConfig, grid, str(obj.get("mode", NestedEvalConfig.mode)))
 
 
 def eps_from_rule(rule: dict, count: int) -> np.ndarray:
@@ -211,7 +213,6 @@ class ExperimentPreset:
     dp: NestedEvalConfig
     pde: SolverConfig
     tolerance: float
-    output_dir: str = "out"
 
     def build_model(self) -> SequenceModel:
         base = build_iid_family(self.gp, self.sigma_levels, self.mean_levels, self.n_max)
@@ -271,7 +272,6 @@ def parse_preset(doc: dict) -> ExperimentPreset:
         dp=parse_nested_config(_require(doc, "dp", "preset")),
         pde=parse_solver_config(_require(doc, "pde", "preset"), gp, 1.0),
         tolerance=positive_number(_require(doc, "tolerance", "preset"), "preset.tolerance"),
-        output_dir=_string(doc, "output_dir", "preset", "out"),
     )
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 from .functions import TestFunction
 from .scenarios import ScenarioSet, stack_sets
 
@@ -60,25 +60,26 @@ _LATTICE_RATIO_CAP = 2**20
 
 @dataclass(frozen=True)
 class NestedEvalConfig:
-    """State-space handling for the backward recursion.
+    """State-space handling for the backward recursion; the one owner of the
+    ``dp`` section's default mode and ``num_points`` rule.
 
-    ``state_grid`` = (lo, hi, num_points) is used in ``grid_interp`` mode,
-    where it must contain 0, the start of the recursion; in
-    ``exact_lattice`` mode it is ignored. The grid clamps sums past its
-    edges to the edge values. Neither mode's grid may exceed
-    ``GRID_NODE_CAP`` nodes. Messages name [lo, hi] ``x_range``, as the
-    ``dp`` section does.
+    ``state_grid`` = (lo, hi, num_points) is used in ``grid_interp`` mode, the
+    default, where it must contain 0, the start of the recursion; in
+    ``exact_lattice`` mode it is ignored. The grid clamps sums past its edges
+    to the edge values. num_points is an int or numpy integer, not a bool or
+    ``3201.0``, and neither mode's grid may exceed ``GRID_NODE_CAP`` nodes.
+    Messages name [lo, hi] ``x_range``, as the ``dp`` section does.
     """
 
     state_grid: tuple[float, float, int] = (-16.0, 16.0, 3201)
-    mode: str = "exact_lattice"
+    mode: str = "grid_interp"
 
     def __post_init__(self) -> None:
         lo, hi, num = self.state_grid
+        if isinstance(num, bool) or not isinstance(num, (int, np.integer)) or not 2 <= num <= GRID_NODE_CAP:
+            raise ValidationError(f"num_points must be an integer in [2, {GRID_NODE_CAP}], got {num!r}")
         if not lo < hi:
             raise ValidationError(f"x_range needs lo < hi, got [{lo}, {hi}]")
-        if not 2 <= num <= GRID_NODE_CAP or int(num) != num:
-            raise ValidationError(f"num_points must be an integer in [2, {GRID_NODE_CAP}]")
         if self.mode not in ("exact_lattice", "grid_interp"):
             raise ValidationError(f"mode must be exact_lattice or grid_interp, got {self.mode!r}")
         if self.mode == "grid_interp" and not lo <= 0.0 <= hi:
@@ -223,18 +224,22 @@ def nested_expect(phi_of_sum: TestFunction, model, n: int, cfg: NestedEvalConfig
         xs = np.arange(low, high + 1, dtype=np.int64).astype(float) * h
     else:
         lo, hi, num = cfg.state_grid
-        xs = np.linspace(lo, hi, int(num))
+        xs = np.linspace(lo, hi, num)
         h = (hi - lo) / (num - 1)
+    values = phi_of_sum(xs)
+    if not np.isfinite(values).all():  # the march's averages and maxima keep finite data finite
+        raise NumericsError("phi_of_sum is not finite on the state grid")
     stencils, pad = _stencils(inc, w, starts, firsts, h, exact, xs.size)
-    values = _march(phi_of_sum(xs), [stencils[j] for j in order], pad)
+    values = _march(values, [stencils[j] for j in order], pad)
     return float(np.interp(0.0, xs, values))  # at a node in exact mode: that node's value
 
 
 def count_policies(model, n: int) -> int:
-    """Number of adapted scenario policies for an n-step prefix (refused as the evaluators do)."""
+    """Number of adapted scenario policies for an n-step prefix (refused as the evaluators do),
+    counted exactly up to ``POLICY_CAP``; any larger count is returned as ``POLICY_CAP + 1``."""
     count = 1
     for step in reversed(_first_steps(model, n)):
-        count = sum(count ** d.n_atoms for d in step.dists)
+        count = min(POLICY_CAP + 1, sum(count ** d.n_atoms for d in step.dists))
     return count
 
 
@@ -249,9 +254,8 @@ def bruteforce_nested(phi_of_sum: TestFunction, model, n: int) -> float:
     policies are refused.
     """
     steps = _first_steps(model, n, phi_of_sum)
-    n_policies = count_policies(steps, n)
-    if n_policies > POLICY_CAP:
-        raise ValidationError(f"policy count {n_policies} exceeds cap {POLICY_CAP}")
+    if count_policies(steps, n) > POLICY_CAP:
+        raise ValidationError(f"the first {n} steps admit more than {POLICY_CAP} adapted policies")
     wx, wy = _step_weights(n)
     laws = [
         [(wx * d.points[:, 0] + wy * (d.points[:, 1] if d.dim == 2 else 0.0), d.weights)

@@ -37,6 +37,11 @@ SMALL = {
     "tolerance": 0.1,
 }
 
+# the shipped classical-cos preset, as its document
+PRESET = json.loads(
+    resources.files("gexpect").joinpath("presets", "classical-cos.json").read_text(encoding="utf-8")
+)
+
 
 # law A is +/-(1, 2), law B is (2, -1) or (0, 3), every atom of weight 1/2
 PAIRS = {"steps": [{"dists": [{"atoms": [[1, 2, 0.5], [-1, -2, 0.5]]},
@@ -168,15 +173,27 @@ class TestClt:
         ).read_bytes()
 
     def test_unattainable_tolerance(self, tmp_path, capsys):
-        rc = main(["clt", "--config", "classical-cos", "--out", str(tmp_path), "--tol", "1e-9"])
+        # the preset's tolerance alone decides the exit code
+        config = write(tmp_path, "strict.json", {**PRESET, "tolerance": 1e-9})
+        rc = main(["clt", "--config", config, "--out", str(tmp_path)])
         assert rc == 1
-        assert "criterion missed" in capsys.readouterr().out
+        assert "criterion missed: final e_n = 1.789e-04 > tolerance 1e-09" in capsys.readouterr().out
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tolerance_override(self, tmp_path, capsys, tol):
-        rc = main(["clt", "--config", "classical-cos", "--out", str(tmp_path), "--tol", tol])
-        assert rc == 2
-        assert "--tol must be a positive finite number" in capsys.readouterr().out
+        # there is no tolerance override: any --tol is a usage error
+        with pytest.raises(SystemExit) as exit_:
+            main(["clt", "--config", "classical-cos", "--out", str(tmp_path), "--tol", tol])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["clt", "check-conditions"])
+    def test_out_defaults_to_out(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", write(tmp_path, "p.json", SMALL)]) == 0
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == ["small-conditions.json"] + (["small.csv"] if command == "clt" else [])
 
     def test_zero_variance_floor_rejected(self, tmp_path, capsys):
         doc = {
@@ -272,13 +289,15 @@ class TestClt:
     def test_output_names_are_checked_at_load(
         self, tmp_path, monkeypatch, capsys, command, key, value, field
     ):
-        # run without --out from an empty working directory: a refused preset writes nothing there
+        # run without --out from an empty working directory: a refused preset writes nothing there;
+        # --out alone places the outputs, so a preset's output_dir, of any value, is an unknown key
         config = write(tmp_path, "p.json", {**SMALL, key: value})
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
         assert main([command, "--config", config]) == 2
-        assert f"error: {field} must be" in capsys.readouterr().out
+        want = f"unknown key {field}; preset reads " if key == "output_dir" else f"{field} must be"
+        assert f"error: {want}" in capsys.readouterr().out
         assert list(cwd.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["clt", "check-conditions"])
@@ -454,9 +473,6 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=6,
-)
-PRESET = json.loads(
-    resources.files("gexpect").joinpath("presets", "classical-cos.json").read_text(encoding="utf-8")
 )
 SECTION_KEYS = {
     "gp": ("mu", "sigma2"),

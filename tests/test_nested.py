@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from gexpect import (
     DiscreteDistribution,
     GParams,
+    NumericsError,
     ScenarioSet,
     TestFunction,
     ValidationError,
@@ -446,11 +448,29 @@ class TestValidation:
                 nested_expect(square(), [step] * n, n, LATTICE)
 
     def test_policy_cap(self):
+        # 2**31 policies: counted up to the cap, then reported as one more than it
         steps = two_sigma_steps(5)
-        n_policies = count_policies(steps, 5)
-        assert n_policies == 2 ** 31 > POLICY_CAP
-        with pytest.raises(ValidationError, match=f"policy count {n_policies} exceeds cap {POLICY_CAP}"):
+        assert count_policies(steps, 4) == 2**15
+        assert count_policies(steps, 5) == POLICY_CAP + 1
+        with pytest.raises(ValidationError, match=f"^the first 5 steps admit more than {POLICY_CAP} adapted"):
             bruteforce_nested(square(), steps, 5)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_policy_cap_refuses_a_deep_model_at_once(self, n):
+        # the exact count has 169,406 bits at n = 16 on this model; it is never formed
+        model = load_preset("g-ambiguous").build_model()
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=f"^the first {n} steps admit more than 1000000 adapted policies$"):
+            bruteforce_nested(cosine(), model, n)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("cfg", [LATTICE, None], ids=["exact_lattice", "grid_interp"])
+    def test_phi_not_finite_on_the_grid_is_refused(self, cfg):
+        # a clipped ramp that is inf past |x| > 5: the reachable sums of the shipped model pass 5
+        preset = load_preset("g-ambiguous")
+        phi = TestFunction(lambda x: np.where(np.abs(x) > 5.0, np.inf, np.clip(x, 0.0, 6.0)), 1, "inf-ramp")
+        with pytest.raises(NumericsError, match="^phi_of_sum is not finite on the state grid$"):
+            nested_expect(phi, preset.build_model(), 16, cfg or preset.dp)
 
     def test_model_too_short(self):
         with pytest.raises(ValidationError):
@@ -465,3 +485,7 @@ class TestValidation:
             NestedEvalConfig((-1.0, 1.0, 11), mode="magic")
         with pytest.raises(ValidationError, match="num_points"):
             NestedEvalConfig((-1.0, 1.0, GRID_NODE_CAP + 1), mode="grid_interp")
+        for num in (11.0, True):  # an integer, not a float or a bool
+            with pytest.raises(ValidationError, match=rf"^num_points must be an integer in \[2, 2000000\], got {num}$"):
+                NestedEvalConfig((-1.0, 1.0, num), "grid_interp")
+        assert NestedEvalConfig((-1.0, 1.0, np.int64(11))).mode == "grid_interp"  # the default mode
