@@ -9,7 +9,6 @@ from .clt import (
     build_iid_family,
     build_perturbed_family,
     check_conditions,
-    cross_space_check,
     run_clt,
 )
 from .errors import NumericsError, Report, ValidationError
@@ -54,7 +53,6 @@ __all__ = [
     "cfl_limit",
     "check_conditions",
     "count_policies",
-    "cross_space_check",
     "expect",
     "g_eval",
     "holder_check",

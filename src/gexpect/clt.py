@@ -92,6 +92,20 @@ class ConvergenceReport:
         raise ValidationError(f"no row for n={n}")
 
 
+def positive_integer(value, name: str) -> int:
+    """``value`` as an int; raises ``ValidationError`` naming the field unless it is
+    an int or numpy integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def limit_half_width(gp: GParams) -> float:
+    """w = 6 sigma_hi + |mu|_max: the limit value at (1, 0) reads the line on [-w, w], so a
+    PDE domain covering it keeps the boundary's influence below tolerance."""
+    return 6.0 * gp.sigma_hi + gp.mu_abs
+
+
 def _product_step(sigma_grid: np.ndarray, mean_grid: np.ndarray, label: str) -> ScenarioSet:
     """Product family: symmetric two-point X at each sigma, point-mass Y at each mean."""
     dists = []
@@ -109,10 +123,8 @@ def build_iid_family(
     """Identically distributed baseline: every step carries the same product
     family over an even sigma grid of [sigma_lo, sigma_hi] and an even mean
     grid of [mu_lo, mu_hi]. Zero mean of X is exact by symmetry."""
-    if sigma_levels < 1 or mean_levels < 1:
-        raise ValidationError("need sigma_levels >= 1 and mean_levels >= 1")
-    if n_max < 1:
-        raise ValidationError("need n_max >= 1")
+    for value, name in ((sigma_levels, "sigma_levels"), (mean_levels, "mean_levels"), (n_max, "n_max")):
+        positive_integer(value, name)
     sigma_grid = np.linspace(gp.sigma_lo, gp.sigma_hi, sigma_levels)
     mean_grid = np.linspace(gp.mu_lo, gp.mu_hi, mean_levels)
     step = _product_step(sigma_grid, mean_grid, label="iid-step")
@@ -238,7 +250,8 @@ def run_clt(
 
     One row per n in the schedule (see ``nested.step_counts``); the PDE reference
     is computed once at (1, 0), so ``cfg_pde.t_final`` must be 1. The PDE
-    domain must cover the 6-sigma envelope of the limit pair.
+    domain must cover [-w, w], w = ``limit_half_width(model.gp)``, as a preset's
+    does by construction (see ``io``).
 
     The PDE value and the nested value at each n share no state, so they go
     through ``fork_map`` in schedule order, the PDE first, with each one's
@@ -253,8 +266,7 @@ def run_clt(
         raise ValidationError(
             f"the limit is the PDE value at t = 1, but cfg_pde.t_final = {cfg_pde.t_final!r}"
         )
-    # domain half-width keeping the boundary influence at (1, 0) below tolerance
-    half = 6.0 * model.gp.sigma_hi + model.gp.mu_abs
+    half = limit_half_width(model.gp)
     if cfg_pde.x_hi < half - 1e-12 or cfg_pde.x_lo > -half + 1e-12:
         raise ValidationError(
             f"PDE domain [{cfg_pde.x_lo}, {cfg_pde.x_hi}] does not cover the "
@@ -301,21 +313,3 @@ def reencode_model(model: SequenceModel, seed: int = 0) -> SequenceModel:
         ref_steps=model.ref_steps,
     )
 
-
-def cross_space_check(
-    model: SequenceModel,
-    phi: TestFunction,
-    n: int,
-    cfg: NestedEvalConfig,
-    seed: int = 0,
-) -> float:
-    """|nested value of the model - nested value of a re-encoding|.
-
-    Distribution-identical sequences must give the same nested value (the
-    limit statement does not depend on the representation space), so the
-    returned difference must be <= 1e-12. ``nested_expect`` refuses an n
-    the model does not reach.
-    """
-    v1 = nested_expect(phi, model, n, cfg)
-    v2 = nested_expect(phi, reencode_model(model, seed=seed), n, cfg)
-    return abs(v1 - v2)

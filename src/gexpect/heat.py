@@ -41,8 +41,8 @@ marches two of its three legs together this way.
 Boundary handling: the update writes only the interior nodes, so the two
 edge nodes keep the terminal data they start with. The domain must be
 wide enough that the boundary influence at the evaluation point is below
-tolerance; the harness enforces half-width >= 6*sigma_hi + |mu|_max at
-its horizon t = 1.
+tolerance; at its horizon t = 1 the harness enforces half-width >=
+``clt.limit_half_width(gp)``, and a preset's domain is built to it.
 
 Finiteness: the march checks once, at the end, that every node is finite.
 That is the same as checking after every step: a sum x + y is finite only

@@ -12,13 +12,14 @@ Wire formats:
 
 * uncertainty bounds: ``{ "mu": [lo, hi], "sigma2": [lo, hi] }``
 
-* nested-recursion section: ``{ "x_range": [lo, hi], "num_points": ..., "mode": ... }``,
-  read by ``NestedEvalConfig``, which checks ``num_points`` and owns the default mode.
+* nested-recursion section: ``{ "num_points": ..., "mode": ... }``, read by
+  ``NestedEvalConfig`` on [-w, w], w = ``clt.limit_half_width(gp)``, the line
+  the limit value at (1, 0) reads; it checks ``num_points`` and owns the default mode.
 
-* PDE section: ``{ "x_range": [lo, hi], "dx": ... }``. The time step is
-  derived, ``dt = stable_dt(gp, dx, t_final)``, and a preset's horizon is
-  t = 1, the time of the limit value. The ``gexpect solve`` document's
-  ``pde`` section also sets ``"t_final"``.
+* PDE section: a preset's is ``{ "dx": ... }``, marched on [-w, w] rounded out to
+  whole ``dx`` up to t = 1, the time of the limit value. The ``gexpect solve`` document's is
+  ``{ "x_range": [lo, hi], "dx": ..., "t_final": ... }``. The time step is
+  derived, ``dt = stable_dt(gp, dx, t_final)``.
 
 * experiment preset: see ``parse_preset``; the three shipped presets live
   in the ``presets/`` package data and can be addressed by bare name.
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clt import SequenceModel, build_iid_family, build_perturbed_family
+from .clt import SequenceModel, build_iid_family, build_perturbed_family, limit_half_width, positive_integer
 from .errors import ValidationError
 from .functions import TestFunction, named_function
 from .gfunction import GParams
@@ -81,12 +82,6 @@ def positive_number(value, name: str) -> float:
     if not _is_number(value) or value <= 0:
         raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
-
-
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
 
 
 def _pair(obj: dict, key: str, where: str) -> tuple[float, float]:
@@ -159,20 +154,27 @@ def parse_gparams(obj: dict) -> GParams:
 
 
 def parse_solver_config(obj: dict, gp: GParams, t_final: float | None) -> SolverConfig:
-    """The ``pde`` section, marched to ``t_final``; ``None`` lets the section
-    set ``t_final`` (the solve document). ``dt`` is derived by ``stable_dt``."""
-    known_keys(obj, ("x_range", "dx") + (("t_final",) if t_final is None else ()), "pde")
-    lo, hi = _pair(obj, "x_range", "pde")
-    dx = positive_number(_require(obj, "dx", "pde"), "pde.dx")
+    """The ``pde`` section marched to ``t_final``: a preset's, on [-w, w] rounded out to whole
+    ``dx`` (w = ``limit_half_width(gp)``), or for ``None`` the solve document's, which sets
+    ``x_range`` and ``t_final``. ``dt`` is derived by ``stable_dt``."""
     if t_final is None:
+        known_keys(obj, ("x_range", "dx", "t_final"), "pde")
+        lo, hi = _pair(obj, "x_range", "pde")
+        dx = positive_number(_require(obj, "dx", "pde"), "pde.dx")
         t_final = positive_number(_require(obj, "t_final", "pde"), "pde.t_final")
+    else:  # np.ceil passes the inf ratio of a tiny dx on to SolverConfig, which refuses it
+        known_keys(obj, ("dx",), "pde")
+        dx = positive_number(_require(obj, "dx", "pde"), "pde.dx")
+        hi = float(np.ceil(limit_half_width(gp) / dx) * dx)
+        lo = -hi
     return _prefixed("pde.", SolverConfig, lo, hi, dx, stable_dt(gp, dx, t_final), t_final)
 
 
-def parse_nested_config(obj: dict) -> NestedEvalConfig:
-    known_keys(obj, ("x_range", "num_points", "mode"), "dp")
-    num = _require(obj, "num_points", "dp")
-    grid = (*_pair(obj, "x_range", "dp"), num)
+def parse_nested_config(obj: dict, gp: GParams) -> NestedEvalConfig:
+    """A preset's ``dp`` section, on the window [-w, w], w = ``limit_half_width(gp)``."""
+    known_keys(obj, ("num_points", "mode"), "dp")
+    half = limit_half_width(gp)
+    grid = (-half, half, _require(obj, "num_points", "dp"))
     return _prefixed("dp.", NestedEvalConfig, grid, str(obj.get("mode", NestedEvalConfig.mode)))
 
 
@@ -245,12 +247,12 @@ def parse_preset(doc: dict) -> ExperimentPreset:
     known_keys(doc, PRESET_KEYS + (("eps_rule",) if family == "perturbed" else ()), "preset")
     fam = doc.get("family_params", {})
     known_keys(fam, ("sigma_levels", "mean_levels", "n_max"), "family_params")
-    n_max = _integer(fam["n_max"], "family_params.n_max") if "n_max" in fam else None
+    n_max = positive_integer(fam["n_max"], "family_params.n_max") if "n_max" in fam else None
     raw = _require(doc, "n_schedule", "preset")
     schedule = step_counts(raw, n_max, "preset.n_schedule", "family_params.n_max")
     n_max = schedule[-1] if n_max is None else n_max
-    sigma_levels = _integer(fam.get("sigma_levels", 2), "family_params.sigma_levels")
-    mean_levels = _integer(fam.get("mean_levels", 2), "family_params.mean_levels")
+    sigma_levels = positive_integer(fam.get("sigma_levels", 2), "family_params.sigma_levels")
+    mean_levels = positive_integer(fam.get("mean_levels", 2), "family_params.mean_levels")
     if n_max * sigma_levels * mean_levels > MODEL_LAW_CAP:
         raise ValidationError(
             f"family_params.n_max x family_params.sigma_levels x family_params.mean_levels = "
@@ -269,7 +271,7 @@ def parse_preset(doc: dict) -> ExperimentPreset:
         eps_rule=eps_rule,
         phi=parse_phi(doc, "preset"),
         n_schedule=schedule,
-        dp=parse_nested_config(_require(doc, "dp", "preset")),
+        dp=parse_nested_config(_require(doc, "dp", "preset"), gp),
         pde=parse_solver_config(_require(doc, "pde", "preset"), gp, 1.0),
         tolerance=positive_number(_require(doc, "tolerance", "preset"), "preset.tolerance"),
     )

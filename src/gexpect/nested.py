@@ -68,7 +68,7 @@ class NestedEvalConfig:
     ``exact_lattice`` mode it is ignored. The grid clamps sums past its edges
     to the edge values. num_points is an int or numpy integer, not a bool or
     ``3201.0``, and neither mode's grid may exceed ``GRID_NODE_CAP`` nodes.
-    Messages name [lo, hi] ``x_range``, as the ``dp`` section does.
+    [lo, hi], named ``x_range`` in messages, needs lo < hi and a finite hi - lo.
     """
 
     state_grid: tuple[float, float, int] = (-16.0, 16.0, 3201)
@@ -80,6 +80,8 @@ class NestedEvalConfig:
             raise ValidationError(f"num_points must be an integer in [2, {GRID_NODE_CAP}], got {num!r}")
         if not lo < hi:
             raise ValidationError(f"x_range needs lo < hi, got [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            raise ValidationError(f"x_range [{lo}, {hi}] must have a finite width")
         if self.mode not in ("exact_lattice", "grid_interp"):
             raise ValidationError(f"mode must be exact_lattice or grid_interp, got {self.mode!r}")
         if self.mode == "grid_interp" and not lo <= 0.0 <= hi:

@@ -32,8 +32,8 @@ SMALL = {
     "eps_rule": {"kind": "harmonic", "scale": 0.1},
     "phi": "cos",
     "n_schedule": [4],
-    "dp": {"x_range": [-6, 6], "num_points": 101},
-    "pde": {"x_range": [-6, 6], "dx": 0.5},
+    "dp": {"num_points": 101},
+    "pde": {"dx": 0.5},
     "tolerance": 0.1,
 }
 
@@ -202,8 +202,8 @@ class TestClt:
             "family": "iid",
             "phi": "cos",
             "n_schedule": [4],
-            "dp": {"x_range": [-6, 6], "num_points": 101},
-            "pde": {"x_range": [-6, 6], "dx": 0.5},
+            "dp": {"num_points": 101},
+            "pde": {"dx": 0.5},
             "tolerance": 0.1,
         }
         rc = main(["clt", "--config", write(tmp_path, "z.json", doc)])
@@ -244,8 +244,9 @@ class TestClt:
             (None, "phi_params", {"clip": 2.0}, "phi_params.clip is not a parameter of 'cos'"),
             ("gp", "mu", [0.5, -0.5], "gp.mu needs lo <= hi"),
             ("gp", "sigma2", [0, 1], "gp.sigma2 must be a variance interval"),
-            ("dp", "x_range", [6, -6], "dp.x_range needs lo < hi"),
-            ("dp", "x_range", [1, 6], "dp.x_range [1.0, 6.0] must contain 0"),
+            # gp sets both windows, so a preset's dp and pde name no x_range
+            ("dp", "x_range", [-6, 6], "unknown key dp.x_range; dp reads num_points, mode"),
+            ("pde", "x_range", [-6, 6], "unknown key pde.x_range; pde reads dx"),
             ("dp", "mode", "grid", "dp.mode must be"),
             ("dp", "edge", "clamp", "unknown key dp.edge;"),
             (None, "phi", "cosine", "preset.phi 'cosine' names no function"),
@@ -402,6 +403,8 @@ class TestSolveAndConditions:
             # too many node updates: the step count is named, with t_final, gp and dx that set it
             pytest.param("clt", SMALL, "pde", {"dx": 1e-3}, "pde.t_final", id="preset-small-dx"),
             pytest.param("clt", SMALL, "pde", {"dx": 1e-300}, "pde.t_final", id="preset-tiny-dx"),
+            # the derived domain's half-width over dx overflows to inf
+            pytest.param("clt", SMALL, "pde", {"dx": 5e-324}, "pde.t_final", id="preset-subnormal-dx"),
             pytest.param(
                 "solve", SOLVE, "pde", {"t_final": 1e12}, "pde.t_final", id="solve-long-horizon"
             ),
@@ -477,8 +480,8 @@ JSON_VALUES = st.recursive(
 SECTION_KEYS = {
     "gp": ("mu", "sigma2"),
     "family_params": ("sigma_levels", "mean_levels", "n_max"),
-    "dp": ("x_range", "num_points", "mode"),
-    "pde": ("x_range", "dx"),
+    "dp": ("num_points", "mode"),
+    "pde": ("dx",),
     "eps_rule": ("kind", "offset", "scale"),
 }
 FIELDS = [(None, key) for key in sorted(PRESET) + ["eps_rule", "output_dir", "phi_params"]] + [

@@ -21,7 +21,6 @@ from gexpect import (
     build_perturbed_family,
     check_conditions,
     count_policies,
-    cross_space_check,
     expect,
     lower_expect,
     nested_expect,
@@ -77,10 +76,16 @@ class TestIIDBuilder:
         assert expect(coord_abs_power(0, 3.0), model.steps[0]) == pytest.approx(8.0, abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            build_iid_family(GP_AMB, 0, 1, 4)
-        with pytest.raises(ValidationError):
-            build_iid_family(GP_AMB, 1, 1, 0)
+        for counts, name, value in [
+            ((0, 1, 4), "sigma_levels", "0"),
+            ((1, 1, 0), "n_max", "0"),
+            ((2.5, 3, 8), "sigma_levels", "2.5"),
+            ((True, 3, 8), "sigma_levels", "True"),
+            ((2, "3", 8), "mean_levels", "'3'"),
+            ((2, 3, 8.0), "n_max", "8.0"),
+        ]:
+            with pytest.raises(ValidationError, match=rf"^{name} must be an integer >= 1, got {value}$"):
+                build_iid_family(GP_AMB, *counts)
 
 
 class TestPerturbedBuilder:
@@ -345,9 +350,11 @@ class TestCrossSpace:
 
     def test_reencoding_difference_below_1e12(self):
         model = build_iid_family(GP_AMB, 2, 3, 6)
+        phi = ramp(clip=4.0)
+        value = nested_expect(phi, model, 6, DP_SMALL)
         for seed in range(50):
-            diff = cross_space_check(model, ramp(clip=4.0), 6, DP_SMALL, seed=seed)
-            assert diff <= 1e-12
+            other = reencode_model(model, seed=seed)
+            assert abs(value - nested_expect(phi, other, 6, DP_SMALL)) <= 1e-12
 
     def test_reencode_preserves_laws(self):
         model = build_iid_family(GP_AMB, 2, 3, 3)
@@ -364,12 +371,6 @@ class TestCrossSpace:
             other = reencode_model(model, seed=seed)
             for s1, s2 in zip(model.steps, other.steps):
                 assert sorted(d.n_atoms + 1 for d in s1.dists) == sorted(d.n_atoms for d in s2.dists)
-
-    def test_length_validation(self):
-        model = build_iid_family(GP_AMB, 2, 2, 2)
-        want = r"^n must be an integer in \[1, 2\] \(the model's step count\), got 5$"
-        with pytest.raises(ValidationError, match=want):
-            cross_space_check(model, cosine(), 5, DP_SMALL)
 
 
 class TestModelRefusals:

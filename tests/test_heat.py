@@ -433,7 +433,7 @@ class TestConfigAndErrors:
 
     def test_unknown_boundary_rejected(self):
         # clamping the edges to phi is the only boundary, so a document cannot name one
-        section = {"x_range": [-6.0, 6.0], "dx": 0.1, "boundary": "linear_extrapolate"}
+        section = {"dx": 0.1, "boundary": "linear_extrapolate"}
         with pytest.raises(ValidationError, match="unknown key pde.boundary"):
             parse_solver_config(section, DEG, 1.0)
 

@@ -1,13 +1,14 @@
 """Wire formats: document loading, preset resolution, report writers."""
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from gexpect import GParams, ValidationError, stable_dt
-from gexpect.clt import ConvergenceReport, check_conditions
+from gexpect.clt import ConvergenceReport, check_conditions, run_clt
 from gexpect.io import (
     eps_from_rule,
     load_preset,
@@ -93,20 +94,20 @@ class TestConfigParsers:
 
     def test_solver_config(self):
         gp = GParams(0.0, 0.0, 1.0, 1.0)
-        cfg = parse_solver_config({"x_range": [-6.0, 6.0], "dx": 0.1}, gp, 1.0)
+        cfg = parse_solver_config({"dx": 0.1}, gp, 1.0)
         assert cfg.n_intervals == 120
         assert (cfg.dt, cfg.t_final) == (stable_dt(gp, 0.1, 1.0), 1.0)
 
     def test_march_cap(self):
         # the g-* presets admit dx/2 (about 1.05e8 node updates) and refuse dx/8 (6.7e9)
-        section = {"x_range": [-12.5, 12.5], "dx": 0.01}
+        section = {"dx": 0.01}
         gp = load_preset("g-ambiguous").gp
         assert parse_solver_config(section, gp, 1.0).n_intervals == 2500
         with pytest.raises(ValidationError, match=r"^pde.t_final = 1.0 asks for .* at dx = 0.0025,"):
             parse_solver_config({**section, "dx": 0.0025}, gp, 1.0)
 
     def test_nested_config_defaults(self):
-        cfg = parse_nested_config({"x_range": [-4.0, 4.0], "num_points": 101})
+        cfg = parse_nested_config({"num_points": 101}, GParams(0.0, 0.0, 1.0, 1.0))
         assert cfg.mode == "grid_interp"
 
 
@@ -142,8 +143,8 @@ class TestPresets:
             "family": "iid",
             "phi": "cos",
             "n_schedule": [2, 4],
-            "dp": {"x_range": [-6.0, 6.0], "num_points": 101},
-            "pde": {"x_range": [-6.0, 6.0], "dx": 0.5},
+            "dp": {"num_points": 101},
+            "pde": {"dx": 0.5},
             "tolerance": 0.5,
         }
         (tmp_path / "copy.json").write_text(json.dumps(doc))
@@ -174,18 +175,40 @@ class TestPresets:
             parse_preset({
                 "name": "x", "gp": {"mu": [0, 0], "sigma2": [1, 1]}, "family": "magic",
                 "phi": "cos", "n_schedule": [2],
-                "dp": {"x_range": [-1, 1], "num_points": 11},
-                "pde": {"x_range": [-1, 1], "dx": 0.25},
+                "dp": {"num_points": 11},
+                "pde": {"dx": 0.25},
                 "tolerance": 0.1,
             })
         with pytest.raises(ValidationError, match="tolerance"):
             parse_preset({
                 "name": "x", "gp": {"mu": [0, 0], "sigma2": [1, 1]}, "family": "iid",
                 "phi": "cos", "n_schedule": [2],
-                "dp": {"x_range": [-1, 1], "num_points": 11},
-                "pde": {"x_range": [-1, 1], "dx": 0.25},
+                "dp": {"num_points": 11},
+                "pde": {"dx": 0.25},
                 "tolerance": 0.0,
             })
+
+    @pytest.mark.parametrize(
+        "name, half, num_points",
+        [("classical-cos", 6.0, 4801), ("g-ambiguous", 12.5, 2501), ("g-perturbed", 12.5, 2501)],
+    )
+    def test_windows_follow_from_gp(self, name, half, num_points):
+        preset = load_preset(name)
+        assert (preset.pde.x_lo, preset.pde.x_hi) == (-half, half)
+        assert preset.dp.state_grid == (-half, half, num_points)
+
+    def test_pde_domain_rounds_out_to_whole_dx(self):
+        # w = 6 sqrt(3) lies between 519 and 520 steps of dx = 0.02
+        preset = parse_preset({
+            "name": "wide", "gp": {"mu": [0, 0], "sigma2": [1, 3]}, "family": "iid",
+            "phi": "cos", "n_schedule": [4], "dp": {"num_points": 101}, "pde": {"dx": 0.02},
+            "tolerance": 0.5,
+        })
+        w = 6.0 * math.sqrt(3.0)
+        assert preset.dp.state_grid == (-w, w, 101)
+        assert (preset.pde.x_lo, preset.pde.x_hi, preset.pde.n_intervals) == (-520 * 0.02, 520 * 0.02, 1040)
+        report = run_clt(preset.build_model(), preset.phi, preset.n_schedule, preset.dp, preset.pde)
+        assert [n for n, *_ in report.rows] == [4]
 
     @pytest.mark.parametrize(
         "name, dt",

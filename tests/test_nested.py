@@ -489,3 +489,6 @@ class TestValidation:
             with pytest.raises(ValidationError, match=rf"^num_points must be an integer in \[2, 2000000\], got {num}$"):
                 NestedEvalConfig((-1.0, 1.0, num), "grid_interp")
         assert NestedEvalConfig((-1.0, 1.0, np.int64(11))).mode == "grid_interp"  # the default mode
+        for half, shown in ((math.inf, "inf"), (1e308, r"1e\+308")):  # both ends of the second are finite
+            with pytest.raises(ValidationError, match=rf"^x_range \[-{shown}, {shown}\] must have a finite width$"):
+                NestedEvalConfig((-half, half, 11))

@@ -31,8 +31,8 @@ PRESET = {
     "family": "iid",
     "family_params": {"n_max": 8, "sigma_levels": 1, "mean_levels": 1},
     "phi": "cos",
-    "dp": {"x_range": [-6, 6], "num_points": 101},
-    "pde": {"x_range": [-6, 6], "dx": 0.5},
+    "dp": {"num_points": 101},
+    "pde": {"dx": 0.5},
     "tolerance": 0.1,
 }
 

@@ -18,6 +18,9 @@ same from any checkout. OUTDIR gets:
 * ``expect-x2.txt``: ``gexpect expect x2`` on README's rademacher document;
 * ``solve.txt`` and ``solve/``: ``gexpect solve`` on a small fixed document;
 * ``demo-<name>.txt``: the stdout of each demo in ``demos/``;
+* ``presets.txt``: each shipped preset's settings as loaded, each a ``repr``:
+  pde x_lo, x_hi, dx, dt and n_steps, dp state_grid and mode, n_schedule and
+  tolerance, so a change that derives a setting shows before any output moves;
 * ``exit_codes.txt``: every command's exit status, one a line.
 
 Standard error is not kept: it holds tracebacks and warnings, whose paths
@@ -42,6 +45,16 @@ SOLVE = {
     "phi_params": {"clip": 2.0},
     "pde": {"x_range": [-6.0, 6.0], "dx": 0.1, "t_final": 0.5},
 }
+SETTINGS = f"""
+from gexpect.io import load_preset
+for name in {PRESETS!r}:
+    p = load_preset(name)
+    print(name)
+    print("  pde", *map(repr, (p.pde.x_lo, p.pde.x_hi, p.pde.dx, p.pde.dt, p.pde.n_steps)))
+    print("  dp", repr(p.dp.state_grid), repr(p.dp.mode))
+    print("  n_schedule", repr(p.n_schedule))
+    print("  tolerance", repr(p.tolerance))
+"""
 
 
 def main(argv: list[str]) -> int:
@@ -63,6 +76,7 @@ def main(argv: list[str]) -> int:
     runs["solve"] = cli + ["solve", "--config", "solve.json", "--out", "solve"]
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runs[f"demo-{demo.stem}"] = [sys.executable, str(demo)]
+    runs["presets"] = [sys.executable, "-c", SETTINGS]
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     codes = []
