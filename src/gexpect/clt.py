@@ -12,9 +12,9 @@ and the right side via the monotone finite-difference solver.
 
 The perturbed builder and the condition checker work on the flat atom
 arrays of the scenario sets (see ``scenarios``): the builder moves the
-atoms of all steps at once, and the checker computes each distinct
-(step, reference) pair once, all pairs in one pass, with per-law sums in
-numpy's reduction order.
+atoms of all steps at once, and the checker couples each distinct step
+once with the model's one reference set, all steps in one pass, with
+per-law sums in numpy's reduction order.
 """
 
 from __future__ import annotations
@@ -39,20 +39,18 @@ EPS_MAX = 0.25
 class SequenceModel:
     """Per-step 2-d scenario sets for the pairs (X_i, Y_i), plus the limit bounds.
 
-    ``ref_steps``, when present, is the comonotone coupled reference used by
-    the condition checker (the unperturbed per-step sets; see
-    ``check_conditions``).
+    ``reference``, when present, is the scenario set of the theorem's one
+    reference pair, with which the condition checker couples every step (the
+    builders' unperturbed iid step; see ``check_conditions``).
     """
 
     steps: tuple[ScenarioSet, ...]
     gp: GParams
-    ref_steps: tuple[ScenarioSet, ...] | None = None
+    reference: ScenarioSet | None = None
 
     def __post_init__(self) -> None:
         if not self.steps:
             raise ValidationError("a sequence model needs at least one step")
-        if self.ref_steps is not None and len(self.ref_steps) != len(self.steps):
-            raise ValidationError("reference steps must match the step count")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -128,8 +126,7 @@ def build_iid_family(
     sigma_grid = np.linspace(gp.sigma_lo, gp.sigma_hi, sigma_levels)
     mean_grid = np.linspace(gp.mu_lo, gp.mu_hi, mean_levels)
     step = _product_step(sigma_grid, mean_grid, label="iid-step")
-    steps = tuple([step] * n_max)
-    return SequenceModel(steps=steps, gp=gp, ref_steps=steps)
+    return SequenceModel(steps=tuple([step] * n_max), gp=gp, reference=step)
 
 
 def build_perturbed_family(base: SequenceModel, eps) -> SequenceModel:
@@ -164,19 +161,15 @@ def build_perturbed_family(base: SequenceModel, eps) -> SequenceModel:
     for step, lo, hi in zip(base.steps, laws, laws[1:]):
         a, b = bounds[lo], bounds[hi]
         steps.append(ScenarioSet._flat(points[a:b], weights[a:b], starts[lo:hi] - a, step.label))
-    return SequenceModel(
-        steps=tuple(steps),
-        gp=base.gp,
-        ref_steps=base.ref_steps if base.ref_steps is not None else base.steps,
-    )
+    return SequenceModel(steps=tuple(steps), gp=base.gp, reference=base.reference)
 
 
-def _coupling_mismatch(steps, refs) -> str | None:
-    """Why the first (step, reference) pair that cannot be paired scenario by
-    scenario and atom by atom fails, or None if every pair can."""
-    if any(s.dim != 2 for s in steps + refs):
+def _coupling_mismatch(steps, ref: ScenarioSet) -> str | None:
+    """Why the first step that cannot be paired with the reference scenario by
+    scenario and atom by atom fails, or None if every step can."""
+    if any(s.dim != 2 for s in [*steps, ref]):
         return "the coupling needs 2-d steps and references"
-    for step, ref in zip(steps, refs):
+    for step in steps:
         if len(step) != len(ref):
             return f"comonotone coupling needs matching scenario counts ({len(step)} vs {len(ref)})"
         if np.array_equal(step.starts, ref.starts) and np.array_equal(step.weights, ref.weights):
@@ -193,30 +186,27 @@ def check_conditions(model: SequenceModel) -> ConditionReport:
     Mean residuals are the upper and lower expectations of X_i (both must
     be exactly zero for the shipped builders). The third-moment bound is
     the max over steps of the worst-case third absolute moments of X_i and
-    Y_i. The coupling proxies pair each step with its comonotone reference
-    ``model.ref_steps`` (required): scenario j of the step with scenario j
-    of the reference, atom by atom in canonical order (which keeps signs
-    aligned). The X proxy is the worst-case mean of |X^2 - Xref^2|^2, the
-    Y proxy the worst-case mean of |Y - Yref|^2, and the report carries
-    their running Cesaro averages. The ellipticity floor is sig2_lo.
+    Y_i. The coupling proxies pair every step with the model's one
+    comonotone reference set ``model.reference`` (required): scenario j of
+    the step with scenario j of the reference, atom by atom in canonical
+    order (which keeps signs aligned). The X proxy is the worst-case mean of
+    |X^2 - Xref^2|^2, the Y proxy the worst-case mean of |Y - Yref|^2, and
+    the report carries their running Cesaro averages. The ellipticity floor
+    is sig2_lo.
 
-    Each distinct (step, reference) pair is computed once, and all of them
-    at once on their stacked flat atoms.
+    Each distinct step is computed once, and all of them at once on their
+    stacked flat atoms.
     """
-    if model.ref_steps is None:
-        raise ValidationError("check_conditions needs a model with reference steps (ref_steps)")
-    slot: dict = {}  # each distinct (step, reference) pair, in order of first use
-    order = [
-        slot.setdefault((id(s), id(r)), (len(slot), s, r))[0]
-        for s, r in zip(model.steps, model.ref_steps)
-    ]
-    steps = [s for _, s, _ in slot.values()]
-    refs = [r for _, _, r in slot.values()]
-    reason = _coupling_mismatch(steps, refs)
+    if model.reference is None:
+        raise ValidationError("check_conditions needs a model with a reference (reference)")
+    slot: dict = {}  # each distinct step, in order of first use
+    order = [slot.setdefault(id(s), (len(slot), s))[0] for s in model.steps]
+    steps = [s for _, s in slot.values()]
+    reason = _coupling_mismatch(steps, model.reference)
     if reason is not None:
         raise ValidationError(reason)
     points, weights, starts, firsts = stack_sets(steps)
-    ref_points = ScenarioSet(refs).points
+    ref_points = np.tile(model.reference.points, (len(steps), 1))
     x, y = points[:, 0], points[:, 1]
 
     def worst(values: np.ndarray) -> np.ndarray:
@@ -307,9 +297,5 @@ def reencode_model(model: SequenceModel, seed: int = 0) -> SequenceModel:
             weights[k : k + 2] /= 2.0
             new_dists.append(DiscreteDistribution._flat(points, weights, d.starts))
         steps.append(ScenarioSet(new_dists, label=step.label))
-    return SequenceModel(
-        steps=tuple(steps),
-        gp=model.gp,
-        ref_steps=model.ref_steps,
-    )
+    return SequenceModel(steps=tuple(steps), gp=model.gp, reference=model.reference)
 

@@ -116,7 +116,10 @@ class SolverConfig:
         if not nodes <= GRID_NODE_CAP:
             raise ValidationError(f"dx = {self.dx!r} asks for {nodes:.3g} nodes; {caps}")
         if abs(nx - round(nx)) > _GRID_INT_TOL or round(nx) < 8:
-            raise ValidationError("dx must divide x_hi - x_lo into an integer >= 8 intervals")
+            raise ValidationError(
+                f"dx must divide [{self.x_lo!r}, {self.x_hi!r}] into an integer number of "
+                f"intervals, at least 8; dx = {self.dx!r} gives {nx:.6g}"
+            )
         if abs(steps - round(steps)) > _GRID_INT_TOL * max(1.0, steps):
             raise ValidationError("dt must divide t_final into an integer number of steps")
 

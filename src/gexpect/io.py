@@ -100,8 +100,10 @@ def _prefixed(prefix: str, make, *args, **kwargs):
         raise ValidationError(f"{prefix}{exc}") from None
 
 
-def _string(obj: dict, key: str, where: str) -> str:
-    value = obj.get(key, "")
+def _string(obj: dict, key: str, where: str, default: str | None = "") -> str:
+    """``obj[key]``, or ``default`` if the key is absent (required if ``default`` is None),
+    refused unless it is a string without NUL."""
+    value = _require(obj, key, where) if default is None else obj.get(key, default)
     if not isinstance(value, str) or "\0" in value:
         raise ValidationError(f"{where}.{key} must be a string without NUL, got {value!r}")
     return value
@@ -175,14 +177,14 @@ def parse_nested_config(obj: dict, gp: GParams) -> NestedEvalConfig:
     known_keys(obj, ("num_points", "mode"), "dp")
     half = limit_half_width(gp)
     grid = (-half, half, _require(obj, "num_points", "dp"))
-    return _prefixed("dp.", NestedEvalConfig, grid, str(obj.get("mode", NestedEvalConfig.mode)))
+    return _prefixed("dp.", NestedEvalConfig, grid, _string(obj, "mode", "dp", NestedEvalConfig.mode))
 
 
 def eps_from_rule(rule: dict, count: int) -> np.ndarray:
     """Materialize a perturbation schedule. Kinds: "zero",
     "harmonic" (scale/(i+offset)), "alternating-harmonic"."""
     known_keys(rule, ("kind", "offset", "scale"), "eps_rule")
-    kind = str(_require(rule, "kind", "eps_rule"))
+    kind = _string(rule, "kind", "eps_rule", None)
     idx = np.arange(count, dtype=float)
     if kind == "zero":
         known_keys(rule, ("kind",), "eps_rule")
@@ -229,7 +231,7 @@ def parse_phi(doc: dict, where: str) -> TestFunction:
     params = doc.get("phi_params", {})
     if not isinstance(params, dict) or not all(map(_is_number, params.values())):
         raise ValidationError(f"{where}.phi_params must map names to numbers, got {params!r}")
-    return _prefixed(f"{where}.", named_function, str(_require(doc, "phi", where)), 1, params)
+    return _prefixed(f"{where}.", named_function, _string(doc, "phi", where, None), 1, params)
 
 
 def output_stem(value, name: str) -> str:
@@ -241,7 +243,7 @@ def output_stem(value, name: str) -> str:
 
 def parse_preset(doc: dict) -> ExperimentPreset:
     name = output_stem(_require(doc, "name", "preset"), "preset.name")
-    family = str(_require(doc, "family", "preset"))
+    family = _string(doc, "family", "preset", None)
     if family not in ("iid", "perturbed"):
         raise ValidationError(f"preset.family must be 'iid' or 'perturbed', got {family!r}")
     known_keys(doc, PRESET_KEYS + (("eps_rule",) if family == "perturbed" else ()), "preset")

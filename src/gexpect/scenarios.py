@@ -30,7 +30,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import Report, ValidationError
+from .errors import NumericsError, Report, ValidationError
 from .functions import TestFunction, abs_product, coord_abs_power
 
 WEIGHT_SUM_TOL = 1e-12
@@ -186,10 +186,14 @@ def stack_sets(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
 
 
 def _values(phi: TestFunction, s: ScenarioSet) -> np.ndarray:
-    """``phi`` on every atom of ``s``, once its dimension is checked."""
+    """``phi`` on every atom of ``s``, refused unless the dimensions match and every value is finite."""
     if phi.dim != s.dim:
         raise ValidationError(f"function dimension {phi.dim} != scenario dimension {s.dim}")
-    return phi.on_points(s.points)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        values = phi.on_points(s.points)
+    if not np.isfinite(values).all():
+        raise NumericsError(f"{phi.name or 'phi'} is not finite on the atoms")
+    return values
 
 
 def _sup(s: ScenarioSet, values: np.ndarray) -> float:

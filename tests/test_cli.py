@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gexpect.cli import main
+from gexpect.errors import Report
+from gexpect.verify import SUITES
 
 RADEMACHER = {"steps": [{"dists": [{"atoms": [[1, 0.5], [-1, 0.5]]}]}], "label": "r"}
 SOLVE = {
@@ -84,6 +86,11 @@ class TestExpect:
         rc = main(["expect", "x2", "--config", write(tmp_path, "r.json", doc)])
         assert rc == 2
         assert f"unknown key {field};" in capsys.readouterr().out
+
+    def test_a_value_that_overflows_exits_2(self, tmp_path, capsys):
+        doc = {"steps": [{"dists": [{"atoms": [[1e200, 0.5], [-1, 0.5]]}]}]}
+        assert main(["expect", "x2", "--config", write(tmp_path, "far.json", doc)]) == 2
+        assert capsys.readouterr().out == "error: x^2 is not finite on the atoms\n"
 
     def test_bad_weights(self, tmp_path, capsys):
         doc = {"steps": [{"dists": [{"atoms": [[1, 0.5], [-1, 0.4]]}]}]}
@@ -265,6 +272,12 @@ class TestClt:
                 {"kind": "harmonic", "scale": 1e308, "offset": 1e-300},
                 "error: eps_rule gives a schedule that is not finite",
             ),
+            ("pde", "dx", 3, "pde.dx must divide [-6.0, 6.0] into"),  # 4 intervals
+            # a JSON value of the wrong type is shown as JSON, not as a Python string
+            (None, "phi", True, "preset.phi must be a string without NUL, got True"),
+            (None, "family", None, "preset.family must be a string without NUL, got None"),
+            ("eps_rule", "kind", 7, "eps_rule.kind must be a string without NUL, got 7"),
+            ("dp", "mode", None, "dp.mode must be a string without NUL, got None"),
         ],
     )
     def test_malformed_field_is_a_validation_error(self, tmp_path, capsys, section, key, value, field):
@@ -347,6 +360,19 @@ class TestVerify:
         assert out.startswith("PASS oracle")
         assert "seed=3" in out
 
+    def test_a_failing_suite_prints_its_witnesses_and_exits_1(self, capsys, monkeypatch):
+        def failing(seed):
+            report = Report("holder")
+            report.record(True)
+            report.record(False, 0.5, "draw %d: violation", seed)
+            return report
+
+        monkeypatch.setitem(SUITES, "holder", failing)
+        assert main(["verify", "holder", "--seed", "3"]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL holder: 2 checks, 1 failures, worst=5.000e-01, seed=3\n  draw 3: violation\n"
+        )
+
     def test_unknown_suite(self, capsys):
         assert main(["verify", "mystery"]) == 2
         assert capsys.readouterr().out.startswith("error: unknown suite 'mystery'; available: ")
@@ -388,6 +414,7 @@ class TestSolveAndConditions:
             ("pde", "dx", 1e300, "pde.dx must divide"),  # dx * dx overflows in the CFL bound
             (None, "label", "", "document.label"),
             (None, "label", "..", "document.label"),
+            (None, "phi", True, "document.phi must be a string without NUL, got True"),
         ],
     )
     def test_malformed_solve_field(self, tmp_path, capsys, section, key, value, field):
@@ -503,3 +530,56 @@ def test_any_preset_field_keeps_the_exit_code_contract(field, value):
         path = Path(tmp) / "preset.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["clt", "--config", str(path), "--out", tmp]) in (0, 1, 2)
+
+
+# the snapshot tool's solve document on a small march: its gp's tiny variance
+# makes the derived dt large, so a replaced t_final of up to 2^32 marches
+# fewer than 10^4 steps, and every example takes well under a second
+FUZZ_SOLVE = {
+    "label": "ramp-profile",
+    "gp": {"mu": [0.0, 0.0], "sigma2": [1e-8, 1e-8]},
+    "phi": "relu_clip",
+    "phi_params": {"clip": 2.0},
+    "pde": {"x_range": [-1.0, 1.0], "dx": 0.1, "t_final": 0.01},
+}
+SOLVE_FIELDS = [(key,) for key in sorted(FUZZ_SOLVE)] + [
+    ("gp", "mu"), ("gp", "sigma2"), ("phi_params", "clip"),
+    ("pde", "x_range"), ("pde", "dx"), ("pde", "t_final"),
+]
+ATOM = ("steps", 0, "dists", 0, "atoms", 0)
+EXPECT_FIELDS = [ATOM[:k] for k in range(1, len(ATOM) + 1)] + [
+    ("label",), ("steps", 0, "label"), (*ATOM, 0), (*ATOM, 1),
+]
+
+
+def replaced(doc: dict, path: tuple, value) -> dict:
+    """A copy of ``doc`` with the field at ``path`` replaced by ``value``."""
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(path=st.sampled_from(SOLVE_FIELDS), value=st.floats() | JSON_VALUES)
+def test_any_solve_field_keeps_the_exit_code_contract(path, value):
+    """One field of the small solve document replaced by an arbitrary JSON
+    value: the run ends in a documented exit code, never an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "solve.json"
+        config.write_text(json.dumps(replaced(FUZZ_SOLVE, path, value)), encoding="utf-8")
+        assert main(["solve", "--config", str(config), "--out", tmp]) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(path=st.sampled_from(EXPECT_FIELDS), value=st.floats() | JSON_VALUES)
+def test_any_expect_field_keeps_the_exit_code_contract(path, value):
+    """One field of the rademacher document replaced by an arbitrary JSON
+    value: ``expect x2`` ends in a documented exit code, never an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "rademacher.json"
+        config.write_text(json.dumps(replaced(RADEMACHER, path, value)), encoding="utf-8")
+        assert main(["expect", "x2", "--config", str(config)]) in (0, 1, 2)

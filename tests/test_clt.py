@@ -147,16 +147,23 @@ class TestConditions:
         assert report.cesaro_x[-1] <= report.cesaro_x[0] / 10.0
         assert report.third_moment_bound == pytest.approx(8.0 * 1.25**3, rel=1e-12)
 
-    def test_reference_steps_required(self):
+    def test_reference_required(self):
         base = build_iid_family(GP_AMB, 2, 2, 4)
-        bare = SequenceModel(steps=base.steps, gp=GP_AMB)  # no ref carried
-        with pytest.raises(ValidationError, match="ref_steps"):
+        bare = SequenceModel(steps=base.steps, gp=GP_AMB)  # no reference carried
+        with pytest.raises(ValidationError, match=r"^check_conditions needs a model with a reference \(reference\)$"):
             check_conditions(bare)
+        assert build_perturbed_family(bare, np.zeros(4)).reference is None
+
+    def test_builders_carry_the_iid_step_as_the_reference(self):
+        base = build_iid_family(GP_AMB, 2, 3, 4)
+        assert all(step is base.reference for step in base.steps)
+        for model in (build_perturbed_family(base, np.full(4, 0.1)), reencode_model(base)):
+            assert model.reference is base.reference
 
     def test_structure_mismatch_rejected(self):
         base = build_iid_family(GP_AMB, 2, 3, 4)
         ref = build_iid_family(GP_AMB, 2, 2, 4)
-        mismatched = SequenceModel(steps=base.steps, gp=GP_AMB, ref_steps=ref.steps)
+        mismatched = SequenceModel(steps=base.steps, gp=GP_AMB, reference=ref.steps[0])
         with pytest.raises(ValidationError, match="scenario counts"):
             check_conditions(mismatched)  # 6 scenarios vs 4
 
@@ -374,12 +381,9 @@ class TestCrossSpace:
 
 
 class TestModelRefusals:
-    def test_sequence_model_needs_steps_and_matching_references(self):
-        steps = build_iid_family(GP_AMB, 1, 1, 2).steps
+    def test_sequence_model_needs_steps(self):
         with pytest.raises(ValidationError, match="^a sequence model needs at least one step$"):
             SequenceModel((), GP_AMB)
-        with pytest.raises(ValidationError, match="^reference steps must match the step count$"):
-            SequenceModel(steps, GP_AMB, ref_steps=steps[:1])
 
     def test_lhs_of_a_missing_n(self):
         report = ConvergenceReport([(8, 0.5, 0.25, 0.25)])
@@ -392,7 +396,7 @@ class TestModelRefusals:
         with pytest.raises(ValidationError, match="^a perturbed family needs 2-d base steps$"):
             build_perturbed_family(SequenceModel(flat, GP_AMB), [0.0, 0.0])
         with pytest.raises(ValidationError, match="^the coupling needs 2-d steps and references$"):
-            check_conditions(SequenceModel(flat, GP_AMB, ref_steps=flat))
+            check_conditions(SequenceModel(flat, GP_AMB, reference=flat[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +440,10 @@ def reference_conditions(model):
                 for d, v in ((d, values_of(d, j)) for j, d in enumerate(step.dists))]
         return float(max(v for v, _ in sums)), float(max(a for _, a in sums))
 
+    rx = [d.points[:, 0] for d in model.reference.dists]
+    ry = [d.points[:, 1] for d in model.reference.dists]
     rows = []
-    for step, ref in zip(model.steps, model.ref_steps):
-        rx = [d.points[:, 0] for d in ref.dists]
-        ry = [d.points[:, 1] for d in ref.dists]
+    for step in model.steps:
         negated, scale = worst(step, lambda d, j: -1.0 * d.points[:, 0])
         rows.append({
             "upper": worst(step, lambda d, j: d.points[:, 0]),
@@ -465,7 +469,8 @@ def reference_conditions(model):
 
 def reference_mismatch(model):
     """The first coupling error, step by step and scenario by scenario, or None."""
-    for step, ref in zip(model.steps, model.ref_steps):
+    ref = model.reference
+    for step in model.steps:
         if len(step) != len(ref):
             return f"comonotone coupling needs matching scenario counts ({len(step)} vs {len(ref)})"
         for j, (d, r) in enumerate(zip(step.dists, ref.dists)):
@@ -506,21 +511,26 @@ def test_builder_families_match_the_per_law_reference_bitwise(drawn):
 
 @st.composite
 def weighted_models(draw):
-    """Steps drawn from a pool of random 2-d sets with random weights (so
-    steps repeat or differ), perturbed by random eps."""
+    """A random 2-d template set with random weights as the reference, and
+    steps drawn from a pool of its copies with moved points and the same
+    weights (so steps repeat or differ), perturbed by random eps."""
     coord = st.floats(-5.0, 5.0)
-    pool = []
+    template = []
     for _ in range(draw(st.integers(1, 3))):
-        laws = []
-        for _ in range(draw(st.integers(1, 3))):
-            rows = draw(st.lists(st.tuples(coord, coord, st.floats(0.01, 1.0)), min_size=1, max_size=5))
-            total = sum(w for *_, w in rows)
-            laws.append(DiscreteDistribution([((x, y), w / total) for x, y, w in rows]))
-        pool.append(ScenarioSet(laws))
+        rows = draw(st.lists(st.tuples(coord, coord, st.floats(0.01, 1.0)), min_size=1, max_size=5))
+        total = sum(w for *_, w in rows)
+        template.append(DiscreteDistribution([((x, y), w / total) for x, y, w in rows]))
+
+    def moved(d):
+        """``d``'s weights on new points, sorted so that each keeps its place."""
+        points = draw(st.lists(st.tuples(coord, coord), min_size=d.n_atoms, max_size=d.n_atoms, unique=True))
+        return DiscreteDistribution(zip(sorted(points), d.weights))
+
+    pool = [ScenarioSet([moved(d) for d in template]) for _ in range(draw(st.integers(1, 3)))]
     n = draw(st.integers(1, 8))
     steps = tuple(pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n))
     eps = draw(st.lists(st.floats(-EPS_MAX, EPS_MAX), min_size=n, max_size=n))
-    return SequenceModel(steps=steps, gp=GP_AMB), np.array(eps)
+    return SequenceModel(steps=steps, gp=GP_AMB, reference=ScenarioSet(template)), np.array(eps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -551,7 +561,7 @@ def test_weighted_families_match_the_per_law_reference(drawn):
 def coupled_models(draw):
     """Steps drawn from variants of one template set: moved points (which
     couple), one law reweighted, one law with an extra atom, the last law
-    dropped; references drawn from the template and its moved copy."""
+    dropped; the reference drawn from the template and its moved copy."""
     n_laws = draw(st.integers(1, 4))
     template = [draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=3, unique=True)) for _ in range(n_laws)]
 
@@ -569,8 +579,7 @@ def coupled_models(draw):
         variants.append(ScenarioSet([law(xs) for xs in template[:-1]]))
     n = draw(st.integers(1, 6))
     steps = tuple(draw(st.sampled_from(variants)) for _ in range(n))
-    refs = tuple(draw(st.sampled_from([ref, moved])) for _ in range(n))
-    return SequenceModel(steps=steps, gp=GP_AMB, ref_steps=refs)
+    return SequenceModel(steps=steps, gp=GP_AMB, reference=draw(st.sampled_from([ref, moved])))
 
 
 @settings(max_examples=100, deadline=None)
@@ -629,10 +638,10 @@ class TestFlatBuild:
         laws = list(base.steps[0].dists)
         laws[4] = DiscreteDistribution([((1.0, 0.0), 0.25), ((-1.0, 0.0), 0.75)])
         odd = ScenarioSet(laws)
-        model = SequenceModel(steps=base.steps[:2] + (odd, base.steps[0]), gp=GP_AMB, ref_steps=base.steps)
+        model = SequenceModel(steps=base.steps[:2] + (odd, base.steps[0]), gp=GP_AMB, reference=base.reference)
         with pytest.raises(ValidationError, match="^scenario 4: atom structure does not match"):
             check_conditions(model)
         laws[4] = DiscreteDistribution.point_mass((1.0, 0.0))
-        model = SequenceModel(steps=(ScenarioSet(laws),) * 4, gp=GP_AMB, ref_steps=base.steps)
+        model = SequenceModel(steps=(ScenarioSet(laws),) * 4, gp=GP_AMB, reference=base.reference)
         with pytest.raises(ValidationError, match="^scenario 4: atom structure does not match"):
             check_conditions(model)

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from gexpect import ValidationError
+from gexpect import (
+    DiscreteDistribution, GParams, NestedEvalConfig, SolverConfig, ValidationError, build_iid_family, expect,
+    nested_expect, solve,
+)
 from gexpect.functions import TestFunction, coord, coord_abs_power, named_function, ramp
+from gexpect.heat import stable_dt
 
 
 def test_dimension_is_1_or_2():
@@ -17,6 +21,19 @@ def test_one_array_per_coordinate():
     assert f(np.array([1.0]), np.array([2.0])).tolist() == [3.0]
     with pytest.raises(ValidationError, match=r"^sum takes 2 coordinate\(s\), got 1$"):
         f(np.array([1.0]))
+
+
+def test_a_scalar_valued_function_is_broadcast():
+    """``fn`` may return a scalar; every reader sees it on each point."""
+    two = TestFunction(lambda x: 2.0, 1, "two")
+    assert two(np.array([-1.0, 0.0, 1.0])).tolist() == [2.0, 2.0, 2.0]
+    gp = GParams(0.0, 0.0, 1.0, 4.0)
+    model = build_iid_family(gp, 2, 1, 4)
+    assert expect(two, DiscreteDistribution.symmetric_pair(1.0)) == 2.0
+    for mode in ("grid_interp", "exact_lattice"):
+        assert nested_expect(two, model, 4, NestedEvalConfig(mode=mode)) == 2.0
+    cfg = SolverConfig(-2.0, 2.0, 0.5, stable_dt(gp, 0.5, 0.1), 0.1)
+    assert solve(gp, two, cfg).grid_values.tolist() == [2.0] * 9
 
 
 def test_clip_level_must_be_positive():

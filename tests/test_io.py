@@ -248,8 +248,8 @@ class TestPresets:
         pre = load_preset("g-perturbed")
         model = pre.build_model()
         assert len(model) == 256
-        # perturbed: every step's atoms differ from its base step's
-        assert all(not np.array_equal(s.points, r.points) for s, r in zip(model.steps, model.ref_steps))
+        # perturbed: every step's atoms differ from the reference's, the iid step's
+        assert all(not np.array_equal(s.points, model.reference.points) for s in model.steps)
 
 
 class TestWriters:

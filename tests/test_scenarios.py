@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gexpect import (
     DiscreteDistribution,
+    NumericsError,
     Report,
     ScenarioSet,
     ValidationError,
@@ -79,6 +80,16 @@ class TestExpect:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             expect(abs_product(), RADEMACHER)
+
+    def test_a_value_that_overflows_is_refused(self):
+        far = ScenarioSet([DiscreteDistribution([(1e200, 0.5), (-1.0, 0.5)])])
+        for evaluate in (expect, lower_expect):
+            with pytest.raises(NumericsError, match=r"^x\^2 is not finite on the atoms$"):
+                evaluate(square(), far)
+
+    def test_a_law_repr_names_its_shape(self):
+        law = DiscreteDistribution([((1.0, 2.0), 0.5), ((0.0, 0.0), 0.5)])
+        assert repr(law) == "DiscreteDistribution(2 atoms, dim=2)"
 
 
 class TestLowerExpect:
