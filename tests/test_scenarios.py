@@ -87,9 +87,10 @@ class TestExpect:
             with pytest.raises(NumericsError, match=r"^x\^2 is not finite on the atoms$"):
                 evaluate(square(), far)
 
-    def test_a_law_repr_names_its_shape(self):
+    def test_reprs_name_the_shape(self):
         law = DiscreteDistribution([((1.0, 2.0), 0.5), ((0.0, 0.0), 0.5)])
         assert repr(law) == "DiscreteDistribution(2 atoms, dim=2)"
+        assert repr(ScenarioSet(TWO_SIGMA.dists, label="two")) == "ScenarioSet(2 dists, dim=1 'two')"
 
 
 class TestLowerExpect:
