@@ -63,8 +63,9 @@ the speed of a march no longer depends on what was allocated before it.
 The values are the same either way.
 
 Work cap: ``SolverConfig`` refuses more than ``MARCH_UPDATE_CAP`` node
-updates (time steps x nodes), naming ``t_final`` and the ``dt`` that ``gp``
-and ``dx`` allow, or else more than ``GRID_NODE_CAP`` nodes, naming ``dx``.
+updates (time steps x nodes) or more than ``MARCH_STEP_CAP`` time steps,
+naming ``t_final`` and the ``dt`` that ``gp`` and ``dx`` allow, or else more
+than ``GRID_NODE_CAP`` nodes, naming ``dx``.
 
 Time step: a monotone scheme converges as dx refines with dt proportional
 to dx^2, so ``dt`` is no accuracy setting of its own: ``stable_dt`` derives
@@ -86,6 +87,10 @@ from .nested import GRID_NODE_CAP, _aligned
 _GRID_INT_TOL = 1e-9
 CFL_SAFETY = 0.95
 MARCH_UPDATE_CAP = 10**9  # time steps x nodes of one march
+# time steps of one march: a step costs about 3.6 us on a few nodes (21 nodes, 2-CPU
+# x86-64, numpy 2.4), so this bounds a march of few nodes to seconds, as the update cap
+# bounds a march of many
+MARCH_STEP_CAP = 10**6
 HEAT_S_PER_NODE_UPDATE = 10e-9  # seconds per node update, traced as nested.GRID_S_PER_ATOM_UPDATE is
 
 
@@ -106,8 +111,11 @@ class SolverConfig:
         nx = (self.x_hi - self.x_lo) / self.dx
         nodes = nx + 1
         steps = self.t_final / self.dt
-        caps = f"the caps are {GRID_NODE_CAP} nodes and {MARCH_UPDATE_CAP:.0e} node updates"
-        if not nodes * steps <= MARCH_UPDATE_CAP:
+        caps = (
+            f"the caps are {GRID_NODE_CAP} nodes, {MARCH_UPDATE_CAP:.0e} node updates "
+            f"and {MARCH_STEP_CAP:.0e} steps"
+        )
+        if not (nodes * steps <= MARCH_UPDATE_CAP and steps <= MARCH_STEP_CAP):
             raise ValidationError(
                 f"t_final = {self.t_final!r} asks for a march of {steps:.3g} steps of "
                 f"dt = {self.dt!r}, at most the CFL step of gp at dx = {self.dx!r}, "
@@ -216,17 +224,24 @@ def _advance(
         block[...] = dts * k
         return block
 
-    s2s = sorted({gp.sig2_lo, gp.sig2_hi})
-    diffusion = [(per_row(0.5 * s2 / (dx * dx)), d2) for s2 in s2s]
-    qs = sorted({gp.mu_lo, gp.mu_hi})
-    drift = [] if qs == [0.0] else [(per_row(q / dx), fwd if q >= 0 else bwd) for q in qs]
+    # each part's maximum over its interval's two ends, taken only where they differ
+    s_lo, s_hi = (per_row(0.5 * s2 / (dx * dx)) for s2 in (gp.sig2_lo, gp.sig2_hi))
+    q_lo, q_hi = (per_row(q / dx) for q in (gp.mu_lo, gp.mu_hi))
+    d_lo, d_hi = (fwd if q >= 0 else bwd for q in (gp.mu_lo, gp.mu_hi))
+    two_s2, two_q = gp.sig2_lo != gp.sig2_hi, gp.mu_lo != gp.mu_hi
+    drift = two_q or gp.mu_lo != 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite nodes raise NumericsError
         for m in range(n_steps):
             np.subtract(upper, lower, out=dd)
             np.subtract(fwd, bwd, out=d2)
-            _max_of_products(diffusion, inc, term)
+            np.multiply(s_lo, d2, out=inc)
+            if two_s2:
+                np.maximum(inc, np.multiply(s_hi, d2, out=term), out=inc)
             if drift:
-                np.add(inc, _max_of_products(drift, term, term2), out=inc)
+                np.multiply(q_lo, d_lo, out=term)
+                if two_q:
+                    np.maximum(term, np.multiply(q_hi, d_hi, out=term2), out=term)
+                np.add(inc, term, out=inc)
             np.add(inner, inc, out=inner)
             if check_each and not np.isfinite(nodes).all():
                 times = ", ".join(repr((m + 1) * float(d)) for d in dts)
@@ -234,20 +249,10 @@ def _advance(
     return nodes.reshape(v.shape) if batch == 1 else np.ascontiguousarray(nodes.T)
 
 
-def _max_of_products(
-    pairs: list[tuple[np.ndarray, np.ndarray]], out: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Elementwise max over (coefficient, difference) pairs of their product, into ``out``."""
-    (c, d), *rest = pairs
-    np.multiply(c, d, out=out)
-    for c, d in rest:
-        np.maximum(out, np.multiply(c, d, out=scratch), out=out)
-    return out
-
-
 def _initial_data(phi: TestFunction, cfg: SolverConfig) -> np.ndarray:
     """phi on the grid; raises ``NumericsError`` unless every value is finite."""
-    v0 = phi(cfg.grid())
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is refused
+        v0 = phi(cfg.grid())
     if not np.all(np.isfinite(v0)):
         raise NumericsError("initial data is not finite on the grid")
     return v0

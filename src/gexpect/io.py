@@ -27,8 +27,9 @@ Wire formats:
 Every section refuses a key it does not read, and a field of the wrong
 type or range raises ``ValidationError`` naming it as ``<section>.<key>``.
 Caps refuse, before anything is allocated, a PDE march of more than
-``heat.MARCH_UPDATE_CAP`` node updates or ``GRID_NODE_CAP`` nodes (checked
-by ``SolverConfig``), and a model of more than ``MODEL_LAW_CAP`` laws.
+``heat.MARCH_UPDATE_CAP`` node updates, ``heat.MARCH_STEP_CAP`` time steps
+or ``GRID_NODE_CAP`` nodes (checked by ``SolverConfig``), and a model of
+more than ``MODEL_LAW_CAP`` laws.
 """
 
 from __future__ import annotations

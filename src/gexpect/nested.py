@@ -13,21 +13,33 @@ independence: later steps are resolved innermost, so a realization of the
 earlier steps never changes the later steps' uncertainty (and swapping the
 step order is a genuinely different computation).
 
-Both modes march one stencil per distinct step object over values on a
-uniform grid of spacing h, padded with their edge values. An atom of weight
-w and increment (k + f)*h, k integer and 0 <= f < 1, adds w*(1-f) times the
-values k nodes on and, if f != 0, w*f times those k+1 nodes on; a running
-maximum over scenarios ends the step. All coefficients are >= 0, so the
-operator is monotone, like the exact recursion.
+Both modes march values on a uniform grid of spacing h, one step of the
+model at a time, with the weights of each distinct step object built once.
+An atom of weight w and increment (k + f)*h, k integer and 0 <= f < 1, adds
+w*(1-f) times the values k nodes on and, if f != 0, w*f times those k+1
+nodes on; a maximum over scenarios ends the step. All coefficients are
+>= 0, so the operator is monotone, like the exact recursion. The two modes
+take the step in two forms:
 
 * ``exact_lattice`` — the grid is the common lattice of the increments (a
-  tolerant real GCD), f = 0, and it spans the running extremes of the
-  partial sums: every reachable partial sum is a node, so the value at 0
-  never depends on the padding.
+  tolerant real GCD) and f = 0, so each atom reads one offset. The step is
+  a march of terms: per scenario, one product per atom, summed in atom
+  order. W_i is computed only on the cone, the nodes from the sum of the
+  first i steps' lowest offsets to the sum of their highest: every partial
+  sum the first i steps reach is such a node, and those nodes read only
+  nodes of the next cone, so no padding is read and each value is the one
+  a march over the whole lattice gives there.
 * ``grid_interp`` — the grid is ``state_grid`` and f is the linear
-  interpolation weight. The grid clamps: a sum past an edge reads that
-  edge's value, as clamped interpolation (``np.interp``) does, so a grid
-  narrower than the reach of the partial sums is valid input.
+  interpolation weight. Each distinct step is a dense (scenarios x offsets)
+  matrix of weights on its distinct node offsets, cut into blocks of at most
+  ``LAW_BLOCK`` scenarios; the step copies the values shifted by each offset
+  into the rows of one array, weighs them with one matrix product per block,
+  and takes the maximum over the products' rows. The grid clamps: it
+  is padded with its edge values, so a sum past an edge reads that edge's
+  value, as clamped interpolation (``np.interp``) does, and a grid narrower
+  than the reach of the partial sums is valid input. A lattice atom reads
+  one offset, so there the dense matrix would be mostly zeros, and the term
+  march is faster.
 
 ``bruteforce_nested`` is the independent oracle: it enumerates every
 adapted assignment of one scenario per history node and returns the
@@ -52,6 +64,9 @@ GRID_NODE_CAP = 2_000_000
 # seconds per nested-grid atom update (one atom of a step applied on one grid node), as
 # ``bench/tracing.py`` counts it; traced median on a 2-CPU x86-64, numpy 2.4
 GRID_S_PER_ATOM_UPDATE = 3e-9
+# a grid step weighs at most LAW_BLOCK scenarios on at most NODE_BLOCK nodes in one matrix product
+LAW_BLOCK = 16
+NODE_BLOCK = 2**14
 _LATTICE_REL_TOL = 1e-9
 # largest plausible increment-to-spacing dynamic range; the tolerant GCD of
 # incommensurable increments runs far below this before hitting the noise floor
@@ -150,25 +165,53 @@ def _lattice_spacing(flat: np.ndarray) -> float:
     return g
 
 
-def _stencils(inc, w, starts, firsts: list[int], h: float, exact: bool, num: int):
-    """Per step (from scenario ``firsts[i]``) and scenario, its (offset, coefficient) terms on a
-    num-node grid of spacing h, and the largest |offset| read: the lower term of each atom, then
-    the nonzero upper terms. Offsets are clipped to [-num, num - 1]; past that, all read an edge."""
-    u = inc / h
-    k = np.round(u) if exact else np.floor(u)
-    f = 0.0 if exact else u - k
-    k = np.clip(k, -num, num - 1)
-    ks, upper = k.astype(np.int64), w * f
-    law = np.repeat(np.arange(starts.size), np.diff(starts, append=inc.size))
-    key = np.concatenate((2 * law, 2 * law + 1))  # a scenario's lower terms, then its upper ones
-    order = np.argsort(key, kind="stable")
-    order = order[np.concatenate((np.ones(inc.size, dtype=bool), upper != 0))[order]]
-    offsets = np.concatenate((ks, ks + 1))[order].tolist()
-    terms = list(zip(offsets, np.concatenate((w * (1.0 - f), upper))[order].tolist()))
-    ends = np.cumsum(np.bincount(key[order] // 2, minlength=starts.size)).tolist()
-    per_law = [terms[a:b] for a, b in zip([0] + ends, ends)]
+def _stencils(inc, w, starts, firsts: list[int], h: float):
+    """Per step (from scenario ``firsts[i]``) and scenario, its (offset, weight) terms on the
+    lattice of spacing h, one per atom in atom order."""
+    terms = list(zip(np.round(inc / h).astype(np.int64).tolist(), w.tolist()))
+    atoms = starts.tolist() + [inc.size]
+    per_law = [terms[a:b] for a, b in zip(atoms, atoms[1:])]
     laws = firsts + [starts.size]
-    return [per_law[a:b] for a, b in zip(laws, laws[1:])], int(np.abs(k).max()) + 1
+    return [per_law[a:b] for a, b in zip(laws, laws[1:])]
+
+
+def _dense_steps(inc, w, starts, firsts: list[int], h: float, num: int):
+    """Per step (from scenario ``firsts[i]``), its scenarios in blocks of ``LAW_BLOCK``, each
+    block as its sorted distinct node offsets and the (scenarios x offsets) matrix of
+    interpolation weights on a num-node grid of spacing h; and the largest |offset| read.
+    An atom of weight w and increment (k + f)*h adds w*(1-f) at offset k and, if nonzero,
+    w*f at k+1. Increments are clipped to [-num, num - 1] nodes; past that, all read an
+    edge. Every block is built at once, from one ``np.unique`` over (block, offset) keys."""
+    with np.errstate(over="ignore"):  # an increment of more nodes than a float holds is clipped
+        u = np.clip(inc / h, -num, num - 1)
+    k = np.floor(u)
+    f = u - k
+    k = k.astype(np.int64)
+    upper = w * f
+    up = upper != 0
+    atom_law = np.repeat(np.arange(starts.size), np.diff(starts, append=inc.size))
+    law = np.concatenate((atom_law, atom_law[up]))
+    offset = np.concatenate((k, k[up] + 1))
+    weight = np.concatenate((w * (1.0 - f), upper[up]))
+    laws = np.diff(firsts, append=starts.size)  # scenarios per step
+    blocks = -(-laws // LAW_BLOCK)  # blocks per step
+    rank = np.arange(starts.size) - np.repeat(firsts, laws)  # each scenario's place in its step
+    law_block = np.repeat(np.cumsum(blocks) - blocks, laws) + rank // LAW_BLOCK
+    height, block = np.bincount(law_block), law_block[law]  # scenarios per block; each term's block
+    span = 2 * num + 1
+    keys, col = np.unique(block * span + (offset + num), return_inverse=True)
+    cols = np.searchsorted(keys // span, np.arange(height.size + 1))  # each block's first column
+    width = np.diff(cols)
+    base = np.concatenate(([0], np.cumsum(height * width)))  # each block's first matrix entry
+    entry = base[block] + rank[law] % LAW_BLOCK * width[block] + col - cols[block]
+    flat = np.bincount(entry, weights=weight, minlength=base[-1])
+    offsets = (keys % span - num).tolist()
+    mats = [
+        (offsets[cols[i] : cols[i + 1]], flat[base[i] : base[i + 1]].reshape(height[i], width[i]))
+        for i in range(height.size)
+    ]
+    ends = np.cumsum(blocks).tolist()
+    return [mats[a:b] for a, b in zip([0] + ends, ends)], int(np.abs(offset).max())
 
 
 def _aligned(shape: tuple[int, ...]) -> np.ndarray:
@@ -184,29 +227,65 @@ def _aligned(shape: tuple[int, ...]) -> np.ndarray:
     return raw[skip : skip + size].reshape(shape)
 
 
-def _march(values: np.ndarray, stencils, pad: int) -> np.ndarray:
-    """Apply the step stencils, last to first, to the values of W_n."""
+def _grid_march(values: np.ndarray, steps, pad: int) -> np.ndarray:
+    """Apply the dense steps, last to first, to the values of W_n. Per block of
+    scenarios and of at most ``NODE_BLOCK`` nodes, the values shifted by each
+    offset are stacked, one matrix product weighs them per scenario, and a
+    maximum over scenarios ends the step. The blocks bound the memory of a
+    step by the number of its offsets, whatever the numbers of its scenarios
+    and of nodes."""
     num = values.size
-    buf = _aligned((num + 2 * pad,))
-    best, acc, tmp = (_aligned((num,)) for _ in range(3))
-    for terms in reversed(stencils):
-        buf[:pad], buf[pad + num :] = values[0], values[-1]
-        buf[pad : pad + num] = values
-        for s, ((o, c), *rest) in enumerate(terms):
-            out = acc if s else best  # the first scenario starts the maximum
-            np.multiply(buf[pad + o : pad + o + num], c, out=out)
+    src, dst = (_aligned((num + 2 * pad,)) for _ in range(2))
+    src[pad : pad + num] = values
+    width = min(num, NODE_BLOCK)
+    rows = _aligned((max(len(o) for blocks in steps for o, _ in blocks), width))
+    prod, top = _aligned((LAW_BLOCK, width)), _aligned((width,))
+    for blocks in reversed(steps):
+        src[:pad], src[pad + num :] = src[pad], src[pad + num - 1]
+        for a in range(pad, pad + num, width):
+            size = min(width, pad + num - a)
+            best = dst[a : a + size]
+            for b, (offsets, weights) in enumerate(blocks):
+                shifted, laws = rows[: len(offsets), :size], prod[: weights.shape[0], :size]
+                for j, o in enumerate(offsets):
+                    shifted[j] = src[a + o : a + o + size]
+                np.matmul(weights, shifted, out=laws)
+                if b:  # the first block starts the maximum
+                    np.maximum(best, np.maximum.reduce(laws, axis=0, out=top[:size]), out=best)
+                else:
+                    np.maximum.reduce(laws, axis=0, out=best)
+        src, dst = dst, src
+    return src[pad : pad + num]
+
+
+def _lattice_march(values: np.ndarray, stencils, lo: list[int], hi: list[int]) -> float:
+    """Apply the step stencils, last to first, to the values of W_n on the nodes
+    lo[n] ... hi[n], and return W_0 at node 0. W_i is computed only on the nodes
+    lo[i] ... hi[i] that the first i steps reach from 0, which read only the
+    nodes that the first i + 1 steps reach: no padding is read."""
+    width = max(b - a for a, b in zip(lo, hi)) + 1
+    cur, best, acc, tmp = (_aligned((width,)) for _ in range(4))
+    cur[: values.size] = values
+    for i in range(len(stencils), 0, -1):
+        size, base = hi[i - 1] - lo[i - 1] + 1, lo[i] - lo[i - 1]
+        top, run, part = best[:size], acc[:size], tmp[:size]
+        for s, ((o, c), *rest) in enumerate(stencils[i - 1]):
+            out = run if s else top  # the first scenario starts the maximum
+            np.multiply(cur[o - base : o - base + size], c, out=out)
             for o, c in rest:
-                np.multiply(buf[pad + o : pad + o + num], c, out=tmp)
-                out += tmp
+                np.multiply(cur[o - base : o - base + size], c, out=part)
+                out += part
             if s:
-                np.maximum(best, acc, out=best)
-        values = best
-    return values
+                np.maximum(top, run, out=top)
+        cur, best = best, cur
+    return float(cur[0])
 
 
 def nested_expect(phi_of_sum: TestFunction, model, n: int, cfg: NestedEvalConfig) -> float:
     """Nested worst-case value of phi(sum of wx*X_i + wy*Y_i) over n steps,
     with the step weights (wx, wy) = (sqrt(1/n), 1/n) of S_n/sqrt(n) + T_n/n.
+    phi_of_sum is read, and must be finite, on the state grid in ``grid_interp``
+    mode and on the lattice nodes the n steps reach in ``exact_lattice`` mode.
     """
     steps = _first_steps(model, n, phi_of_sum)
     wx, wy = _step_weights(len(steps))
@@ -214,26 +293,33 @@ def nested_expect(phi_of_sum: TestFunction, model, n: int, cfg: NestedEvalConfig
     order = [slot.setdefault(id(step), len(slot)) for step in steps]
     points, w, starts, firsts = stack_sets(list({id(step): step for step in steps}.values()))
     inc = wx * points[:, 0] + wy * (points[:, 1] if points.shape[1] == 2 else 0.0)
-    exact = cfg.mode == "exact_lattice"
-    if exact:
+    if cfg.mode == "exact_lattice":
         h = _lattice_spacing(inc)
         at = starts[firsts]  # each distinct step's first atom
         step_lo, step_hi = np.minimum.reduceat(inc, at)[order], np.maximum.reduceat(inc, at)[order]
-        low = min(0, int(np.cumsum(np.round(step_lo / h)).min()))
-        high = max(0, int(np.cumsum(np.round(step_hi / h)).max()))
-        if high - low + 1 > GRID_NODE_CAP:
-            raise ValidationError(f"lattice state count {high - low + 1} exceeds cap {GRID_NODE_CAP}")
-        xs = np.arange(low, high + 1, dtype=np.int64).astype(float) * h
-    else:
-        lo, hi, num = cfg.state_grid
-        xs = np.linspace(lo, hi, num)
-        h = (hi - lo) / (num - 1)
-    values = phi_of_sum(xs)
+        # the reach of the first i steps, in nodes from 0: the cone the march computes
+        lo = [0, *np.cumsum(np.round(step_lo / h)).astype(np.int64).tolist()]
+        hi = [0, *np.cumsum(np.round(step_hi / h)).astype(np.int64).tolist()]
+        count = max(hi) - min(lo) + 1
+        if count > GRID_NODE_CAP:
+            raise ValidationError(f"lattice state count {count} exceeds cap {GRID_NODE_CAP}")
+        values = _phi_on(phi_of_sum, np.arange(lo[-1], hi[-1] + 1, dtype=np.int64).astype(float) * h)
+        stencils = _stencils(inc, w, starts, firsts, h)
+        return _lattice_march(values, [stencils[j] for j in order], lo, hi)
+    x_lo, x_hi, num = cfg.state_grid
+    xs = np.linspace(x_lo, x_hi, num)
+    dense, pad = _dense_steps(inc, w, starts, firsts, (x_hi - x_lo) / (num - 1), num)
+    values = _grid_march(_phi_on(phi_of_sum, xs), [dense[j] for j in order], pad)
+    return float(np.interp(0.0, xs, values))
+
+
+def _phi_on(phi_of_sum: TestFunction, xs: np.ndarray) -> np.ndarray:
+    """phi on the nodes xs; raises ``NumericsError`` unless every value is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is refused
+        values = phi_of_sum(xs)
     if not np.isfinite(values).all():  # the march's averages and maxima keep finite data finite
         raise NumericsError("phi_of_sum is not finite on the state grid")
-    stencils, pad = _stencils(inc, w, starts, firsts, h, exact, xs.size)
-    values = _march(values, [stencils[j] for j in order], pad)
-    return float(np.interp(0.0, xs, values))  # at a node in exact mode: that node's value
+    return values
 
 
 def count_policies(model, n: int) -> int:

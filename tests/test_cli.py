@@ -438,6 +438,11 @@ class TestSolveAndConditions:
             pytest.param(
                 "solve", SOLVE, "gp", {"sigma2": [1e-300, 1e300]}, "pde.t_final", id="solve-wide-gp"
             ),
+            # too many steps on few nodes, within the update cap: 4.26e7 steps on 21 nodes
+            pytest.param(
+                "solve", {**SOLVE, "gp": {"mu": [-0.5, 0.5], "sigma2": [1.0, 4.0]}}, "pde",
+                {"x_range": [-1.0, 1.0], "t_final": 1e5}, "pde.t_final", id="solve-many-steps",
+            ),
             # too many nodes, within the update cap: dx is named
             pytest.param(
                 "solve", SOLVE, "pde", {"dx": 1e-6, "t_final": 1e-13}, "pde.dx", id="solve-many-nodes"
@@ -453,6 +458,12 @@ class TestSolveAndConditions:
         assert out.startswith(f"error: {field} = ") and "the caps are" in out
         if field == "pde.t_final":
             assert "steps of dt = " in out and "the CFL step of gp at dx = " in out
+
+    def test_phi_overflowing_on_the_grid_exits_2(self, tmp_path, capsys):
+        # x^2 overflows at 1e200; the suite turns numpy's RuntimeWarning into an error
+        doc = {**SOLVE, "phi": "x2", "pde": {"x_range": [-1e200, 1e200], "dx": 1e198, "t_final": 1.0}}
+        rc = main(["solve", "--config", write(tmp_path, "s.json", doc), "--out", str(tmp_path)])
+        assert (rc, capsys.readouterr().out) == (2, "error: initial data is not finite on the grid\n")
 
     def test_check_conditions(self, tmp_path, capsys):
         rc = main(["check-conditions", "--config", "g-perturbed", "--out", str(tmp_path)])

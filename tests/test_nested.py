@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gexpect import (
@@ -24,7 +24,15 @@ from gexpect import (
 from gexpect.clt import build_iid_family
 from gexpect.functions import coord, cosine, ramp, square
 from gexpect.io import load_preset
-from gexpect.nested import GRID_NODE_CAP, POLICY_CAP, NestedEvalConfig, _stencils
+from gexpect.nested import (
+    GRID_NODE_CAP,
+    LAW_BLOCK,
+    NODE_BLOCK,
+    POLICY_CAP,
+    NestedEvalConfig,
+    _dense_steps,
+    _stencils,
+)
 from gexpect.scenarios import stack_sets
 from gexpect.verify import random_lattice_model
 from oracles import binomial_value
@@ -226,18 +234,44 @@ def test_shipped_grid_clamps_at_preset_scale():
     assert nested_expect(preset.phi, steps, n, preset.dp) == pytest.approx(want, abs=1e-12)
 
 
+def many_law_steps():
+    """Two steps of 2 * ``LAW_BLOCK`` + 5 symmetric two-atom scenarios each."""
+    laws = 2 * LAW_BLOCK + 5
+    return [
+        ScenarioSet([
+            DiscreteDistribution([((s, m), 0.5), ((-s, m), 0.5)])
+            for s, m in zip(np.linspace(0.5, 2.0, laws), np.resize([-0.5, 0.1, 0.5], laws) * sign)
+        ])
+        for sign in (1.0, -1.0)
+    ]
+
+
+def test_grid_blocks_of_scenarios_and_nodes_match_the_interp_reference():
+    """Steps of more scenarios than ``LAW_BLOCK``, on a grid of more nodes than
+    ``NODE_BLOCK``: the maxima over blocks and the node blocks, the last ones
+    partial, give the value of the per-atom np.interp reference."""
+    steps = many_law_steps()
+    cfg = NestedEvalConfig((-6.0, 6.0, 2 * NODE_BLOCK + 101), "grid_interp")
+    phi = TestFunction(lambda s: np.cos(3.0 * s) + np.abs(s - 0.3), dim=1)
+    want = interp_grid_value(phi, steps, 2, cfg)
+    assert nested_expect(phi, steps, 2, cfg) == pytest.approx(want, abs=1e-12)
+
+
 def reference_stencils(steps, wx, wy, h, exact, num):
     """Per step and scenario, its terms built one law at a time: each atom's
-    lower term, then the nonzero upper terms, in atom order."""
+    lower term, then the nonzero upper terms, in atom order. Grid increments
+    are clipped to [-num, num - 1] nodes; a lattice spans the reach of the
+    sums, so exact ones are not."""
     out = []
     for step in steps:
         laws = []
         for d in step.dists:
             y = d.points[:, 1] if d.dim == 2 else 0.0
             u = (wx * d.points[:, 0] + wy * y) / h
+            u = u if exact else np.clip(u, -num, num - 1)
             k = np.round(u) if exact else np.floor(u)
             f = 0.0 if exact else u - k
-            k = np.clip(k, -num, num - 1).astype(np.int64).tolist()
+            k = k.astype(np.int64).tolist()
             lower, upper = (d.weights * (1.0 - f)).tolist(), (d.weights * f).tolist()
             laws.append(list(zip(k, lower)) + [(o + 1, c) for o, c in zip(k, upper) if c])
         out.append(laws)
@@ -246,15 +280,35 @@ def reference_stencils(steps, wx, wy, h, exact, num):
 
 @settings(max_examples=100, deadline=None)
 @given(model=grid_models(), exact=st.booleans())
+@example(model=(many_law_steps(), 2, (-6.0, 6.0, 601)), exact=False)
 def test_flat_stencils_match_the_per_law_terms(model, exact):
-    """Term for term, so the march sums the same products in the same order."""
+    """Exact mode: term for term, so the march sums the same products in the
+    same order. Grid mode: per block of ``LAW_BLOCK`` scenarios of a step, the
+    offsets are the distinct offsets of its terms, sorted, and the matrix holds
+    each scenario's terms summed per offset, in term order; the padding covers
+    the largest |offset|."""
     steps, _, (lo, hi, num) = model
     distinct = list({id(s): s for s in steps}.values())
     h = (hi - lo) / (num - 1)
     points, w, starts, firsts = stack_sets(distinct)
     inc = 0.5 * points[:, 0] + 0.25 * (points[:, 1] if points.shape[1] == 2 else 0.0)
-    stencils, _ = _stencils(inc, w, starts, firsts, h, exact, num)
-    assert stencils == reference_stencils(distinct, 0.5, 0.25, h, exact, num)
+    want = reference_stencils(distinct, 0.5, 0.25, h, exact, num)
+    if exact:
+        assert _stencils(inc, w, starts, firsts, h) == want
+        return
+    dense, pad = _dense_steps(inc, w, starts, firsts, h, num)
+    assert len(dense) == len(want)
+    for blocks, laws in zip(dense, want):
+        assert len(blocks) == -(-len(laws) // LAW_BLOCK)
+        for (offsets, weights), b in zip(blocks, range(0, len(laws), LAW_BLOCK)):
+            block = laws[b : b + LAW_BLOCK]
+            assert offsets == sorted({o for terms in block for o, _ in terms})
+            summed = np.zeros((len(block), len(offsets)))
+            for row, terms in zip(summed, block):
+                for o, c in terms:
+                    row[offsets.index(o)] += c
+            assert weights.tolist() == summed.tolist()
+    assert pad == max(abs(o) for laws in want for terms in laws for o, _ in terms)
 
 
 def test_oracle_does_not_share_the_step_cuts(monkeypatch):
@@ -306,6 +360,43 @@ def test_exact_lattice_covers_intermediate_partial_sums():
         assert nested_expect(phi, steps, n, LATTICE) == pytest.approx(
             bruteforce_nested(phi, steps, n), abs=ORACLE_TOL
         )
+
+
+def one_sided_model(rng, sign):
+    """1 to 4 distinct-or-repeated steps whose increments all have the sign ``sign``:
+    x atoms are u*g*sqrt(n) and y atoms v*g*n with u in 1..3 and v in 0..1, times
+    the sign, so each increment is (u + v)*g, 1 to 4 lattice steps from 0."""
+    n = int(rng.integers(1, 5))
+    g = float(rng.choice([0.5, 0.25]))
+    pool = []
+    for _ in range(int(rng.integers(1, 3))):
+        dists = []
+        for _ in range(int(rng.integers(1, 3))):
+            us = rng.choice([1, 2, 3], size=int(rng.integers(1, 3)), replace=False)
+            wts = rng.dirichlet(np.ones(us.size))
+            atoms = [((sign * u * g * math.sqrt(n), sign * int(rng.integers(2)) * g * n), float(w))
+                     for u, w in zip(us, wts)]
+            dists.append(DiscreteDistribution(atoms))
+        pool.append(ScenarioSet(dists))
+    return [pool[int(rng.integers(len(pool)))] for _ in range(n)], n
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
+def test_exact_lattice_on_one_sided_models(sign):
+    """Every increment on one side of 0, so the sums the first i steps reach
+    leave 0 behind and their lowest and highest nodes move apart: the march
+    computes W_i on exactly those nodes, and the value is the oracle's."""
+    rng = np.random.default_rng(29)
+    phi = TestFunction(lambda s: np.cos(3.0 * s) + 0.3 * s, dim=1)
+    checked = 0
+    while checked < 25:
+        steps, n = one_sided_model(rng, sign)
+        if count_policies(steps, n) > POLICY_CAP:
+            continue
+        assert nested_expect(phi, steps, n, LATTICE) == pytest.approx(
+            bruteforce_nested(phi, steps, n), abs=ORACLE_TOL
+        )
+        checked += 1
 
 
 def test_exact_lattice_takes_a_rounding_residue_for_zero():
@@ -392,6 +483,13 @@ class TestValidation:
         want = interp_grid_value(square(), steps, 4, cfg)
         assert nested_expect(square(), steps, 4, cfg) == pytest.approx(want, abs=1e-12)
 
+    def test_an_increment_past_any_float_node_count_reads_an_edge(self):
+        # 1e10 / 1e-300 overflows to inf nodes; the sums clamp to the edges, where phi is +-1
+        step = ScenarioSet([DiscreteDistribution([((1e10, 0.0), 0.25), ((-1e10, 0.0), 0.75)])])
+        phi = TestFunction(lambda s: s * 1e300, dim=1)
+        cfg = NestedEvalConfig((-1e-300, 1e-300, 3), "grid_interp")
+        assert nested_expect(phi, [step], 1, cfg) == pytest.approx(-0.5, abs=1e-12)
+
     def test_grid_must_contain_zero(self):
         with pytest.raises(ValidationError, match="contain 0"):
             NestedEvalConfig((1.0, 2.0, 11), "grid_interp")
@@ -471,6 +569,14 @@ class TestValidation:
         phi = TestFunction(lambda x: np.where(np.abs(x) > 5.0, np.inf, np.clip(x, 0.0, 6.0)), 1, "inf-ramp")
         with pytest.raises(NumericsError, match="^phi_of_sum is not finite on the state grid$"):
             nested_expect(phi, preset.build_model(), 16, cfg or preset.dp)
+
+    @pytest.mark.parametrize("mode", ["exact_lattice", "grid_interp"])
+    def test_phi_overflowing_on_the_grid_is_refused_without_a_warning(self, mode):
+        # x^2 overflows at 1e200; the suite turns numpy's RuntimeWarning into an error
+        step = ScenarioSet([DiscreteDistribution([((1e200, 0.0), 0.5), ((-1e200, 0.0), 0.5)])])
+        cfg = NestedEvalConfig((-1e200, 1e200, 11), mode)
+        with pytest.raises(NumericsError, match="^phi_of_sum is not finite on the state grid$"):
+            nested_expect(square(), [step], 1, cfg)
 
     def test_model_too_short(self):
         with pytest.raises(ValidationError):
