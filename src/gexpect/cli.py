@@ -18,13 +18,9 @@ from .errors import NumericsError, ValidationError
 from .functions import named_function
 from .heat import solve
 from .io import (
-    known_keys,
     load_preset,
+    load_solve_document,
     load_steps_document,
-    output_stem,
-    parse_gparams,
-    parse_phi,
-    parse_solver_config,
     read_json,
     write_condition_report_json,
     write_convergence_csv,
@@ -37,12 +33,8 @@ DEFAULT_SEED = 20260801
 
 
 def cmd_expect(config_path: str, function_name: str) -> int:
-    doc = read_json(config_path)
-    steps, label = load_steps_document(doc)
+    steps, _ = load_steps_document(read_json(config_path))
     phi = named_function(function_name, dim=steps[0].dim)
-    for i, s in enumerate(steps):  # every step is checked before any line is printed
-        if s.dim != phi.dim:
-            raise ValidationError(f"steps[{i}]: dimension {s.dim} != {phi.dim} of steps[0]")
     for i, s in enumerate(steps):
         upper = expect(phi, s)
         lower = lower_expect(phi, s)
@@ -87,13 +79,7 @@ def cmd_verify(suite_name: str, seed: int) -> int:
 
 
 def cmd_solve(config_path: str, out_dir: str) -> int:
-    doc = read_json(config_path)
-    known_keys(doc, ("label", "gp", "phi", "phi_params", "pde"), "document")
-    gp = parse_gparams(doc.get("gp", {}))
-    cfg = parse_solver_config(doc.get("pde", {}), gp, None)
-    doc.setdefault("phi", "cos")
-    phi = parse_phi(doc, "document")
-    label = output_stem(doc.get("label", "value_function"), "document.label")
+    gp, phi, cfg, label = load_solve_document(read_json(config_path))
     vf = solve(gp, phi, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -144,8 +144,10 @@ def build_perturbed_family(base: SequenceModel, eps) -> SequenceModel:
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (len(base),):
         raise ValidationError(f"eps must have one entry per step ({len(base)})")
-    if np.any(np.abs(eps) > EPS_MAX):
-        raise ValidationError(f"|eps_i| must be <= {EPS_MAX}")
+    magnitude = np.abs(eps)
+    if np.any(magnitude > EPS_MAX):
+        i = int(magnitude.argmax())
+        raise ValidationError(f"|eps_i| must be <= {EPS_MAX}, got {float(magnitude[i])!r} at i = {i}")
     if any(step.dim != 2 for step in base.steps):
         raise ValidationError("a perturbed family needs 2-d base steps")
     points, weights, starts, firsts = stack_sets(base.steps)

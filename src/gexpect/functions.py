@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,14 @@ class TestFunction:
         if out.shape != arrs[0].shape:
             out = np.broadcast_to(out, arrs[0].shape)
         return out
+
+    def finite_values(self, message: str, *coords) -> np.ndarray:
+        """``self(*coords)``; raises ``NumericsError(message)`` unless every value is finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused, not warned about
+            values = self(*coords)
+        if not np.isfinite(values).all():
+            raise NumericsError(message)
+        return values
 
     def on_points(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on an (n, dim) array of points."""

@@ -85,13 +85,16 @@ from .gfunction import GParams
 from .nested import GRID_NODE_CAP, _aligned
 
 _GRID_INT_TOL = 1e-9
+_PHI_NOT_FINITE = "initial data is not finite on the grid"
 CFL_SAFETY = 0.95
 MARCH_UPDATE_CAP = 10**9  # time steps x nodes of one march
 # time steps of one march: a step costs about 3.6 us on a few nodes (21 nodes, 2-CPU
 # x86-64, numpy 2.4), so this bounds a march of few nodes to seconds, as the update cap
 # bounds a march of many
 MARCH_STEP_CAP = 10**6
-HEAT_S_PER_NODE_UPDATE = 10e-9  # seconds per node update, traced as nested.GRID_S_PER_ATOM_UPDATE is
+# seconds per node update: not a measurement (5.1-9 ns traced) but the calibration of the fork
+# decisions of run_clt and verify, which a change moves; so a change is benchmarked as such
+HEAT_S_PER_NODE_UPDATE = 10e-9
 
 
 @dataclass(frozen=True)
@@ -249,21 +252,12 @@ def _advance(
     return nodes.reshape(v.shape) if batch == 1 else np.ascontiguousarray(nodes.T)
 
 
-def _initial_data(phi: TestFunction, cfg: SolverConfig) -> np.ndarray:
-    """phi on the grid; raises ``NumericsError`` unless every value is finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is refused
-        v0 = phi(cfg.grid())
-    if not np.all(np.isfinite(v0)):
-        raise NumericsError("initial data is not finite on the grid")
-    return v0
-
-
 def solve(gp: GParams, phi: TestFunction, cfg: SolverConfig) -> ValueFunction:
     """Evolve the initial profile phi to t_final."""
     if phi.dim != 1:
         raise ValidationError("the solver evolves functions of one variable")
     cfg.check_cfl(gp)
-    out = _march(_initial_data(phi, cfg), gp, cfg.dx, cfg.dt, cfg.n_steps)
+    out = _march(phi.finite_values(_PHI_NOT_FINITE, cfg.grid()), gp, cfg.dx, cfg.dt, cfg.n_steps)
     return ValueFunction(grid_values=out, config=cfg)
 
 
@@ -295,7 +289,7 @@ def semigroup_check(gp: GParams, phi: TestFunction, a: float, b: float, cfg: Sol
     if budget > cfg.t_final * (1.0 + 1e-12):
         raise ValidationError(f"a^2 + b^2 = {budget!r} exceeds t_final budget {cfg.t_final!r}")
     cfg.check_cfl(gp)
-    v0 = _initial_data(phi, cfg)
+    v0 = phi.finite_values(_PHI_NOT_FINITE, cfg.grid())
     n = cfg.n_steps
     # the first two-stage leg and the single-stage leg start from the same
     # data, so they march as one batch

@@ -17,9 +17,9 @@ Wire formats:
   the limit value at (1, 0) reads; it checks ``num_points`` and owns the default mode.
 
 * PDE section: a preset's is ``{ "dx": ... }``, marched on [-w, w] rounded out to
-  whole ``dx`` up to t = 1, the time of the limit value. The ``gexpect solve`` document's is
-  ``{ "x_range": [lo, hi], "dx": ..., "t_final": ... }``. The time step is
-  derived, ``dt = stable_dt(gp, dx, t_final)``.
+  whole ``dx`` up to t = 1, the time of the limit value. That of the ``gexpect solve``
+  document (``load_solve_document``) is ``{ "x_range": [lo, hi], "dx": ..., "t_final": ... }``.
+  The time step is derived, ``dt = stable_dt(gp, dx, t_final)``.
 
 * experiment preset: see ``parse_preset``; the three shipped presets live
   in the ``presets/`` package data and can be addressed by bare name.
@@ -142,12 +142,15 @@ def parse_scenario_set(obj: dict, where: str) -> ScenarioSet:
 
 
 def load_steps_document(doc: dict) -> tuple[list[ScenarioSet], str]:
-    """Parse the ``steps`` document shared by scenario sets and models."""
+    """Parse the ``steps`` document shared by scenario sets and models, all of step 0's dimension."""
     known_keys(doc, ("steps", "label"), "document")
     steps_raw = _require(doc, "steps", "document")
     if not isinstance(steps_raw, list) or not steps_raw:
         raise ValidationError("document: 'steps' must be a nonempty list")
     steps = [parse_scenario_set(s, f"steps[{i}]") for i, s in enumerate(steps_raw)]
+    for i, s in enumerate(steps):
+        if s.dim != steps[0].dim:
+            raise ValidationError(f"steps[{i}]: dimension {s.dim} != {steps[0].dim} of steps[0]")
     return steps, _string(doc, "label", "document")
 
 
@@ -156,21 +159,13 @@ def parse_gparams(obj: dict) -> GParams:
     return _prefixed("gp.", GParams, *_pair(obj, "mu", "gp"), *_pair(obj, "sigma2", "gp"))
 
 
-def parse_solver_config(obj: dict, gp: GParams, t_final: float | None) -> SolverConfig:
-    """The ``pde`` section marched to ``t_final``: a preset's, on [-w, w] rounded out to whole
-    ``dx`` (w = ``limit_half_width(gp)``), or for ``None`` the solve document's, which sets
-    ``x_range`` and ``t_final``. ``dt`` is derived by ``stable_dt``."""
-    if t_final is None:
-        known_keys(obj, ("x_range", "dx", "t_final"), "pde")
-        lo, hi = _pair(obj, "x_range", "pde")
-        dx = positive_number(_require(obj, "dx", "pde"), "pde.dx")
-        t_final = positive_number(_require(obj, "t_final", "pde"), "pde.t_final")
-    else:  # np.ceil passes the inf ratio of a tiny dx on to SolverConfig, which refuses it
-        known_keys(obj, ("dx",), "pde")
-        dx = positive_number(_require(obj, "dx", "pde"), "pde.dx")
-        hi = float(np.ceil(limit_half_width(gp) / dx) * dx)
-        lo = -hi
-    return _prefixed("pde.", SolverConfig, lo, hi, dx, stable_dt(gp, dx, t_final), t_final)
+def parse_solver_config(obj: dict, gp: GParams) -> SolverConfig:
+    """A preset's ``pde`` section, marched to t = 1 on [-w, w] rounded out to whole ``dx``
+    (w = ``limit_half_width(gp)``)."""
+    known_keys(obj, ("dx",), "pde")
+    dx = positive_number(_require(obj, "dx", "pde"), "pde.dx")
+    hi = float(np.ceil(limit_half_width(gp) / dx) * dx)  # SolverConfig refuses the inf of a tiny dx
+    return _prefixed("pde.", SolverConfig, -hi, hi, dx, stable_dt(gp, dx, 1.0), 1.0)
 
 
 def parse_nested_config(obj: dict, gp: GParams) -> NestedEvalConfig:
@@ -224,7 +219,7 @@ class ExperimentPreset:
         if self.family == "iid":
             return base
         eps = eps_from_rule(self.eps_rule, self.n_max)
-        return build_perturbed_family(base, eps)
+        return _prefixed("eps_rule: ", build_perturbed_family, base, eps)
 
 
 def parse_phi(doc: dict, where: str) -> TestFunction:
@@ -275,9 +270,23 @@ def parse_preset(doc: dict) -> ExperimentPreset:
         phi=parse_phi(doc, "preset"),
         n_schedule=schedule,
         dp=parse_nested_config(_require(doc, "dp", "preset"), gp),
-        pde=parse_solver_config(_require(doc, "pde", "preset"), gp, 1.0),
+        pde=parse_solver_config(_require(doc, "pde", "preset"), gp),
         tolerance=positive_number(_require(doc, "tolerance", "preset"), "preset.tolerance"),
     )
+
+
+def load_solve_document(doc: dict) -> tuple[GParams, TestFunction, SolverConfig, str]:
+    """``solve``'s arguments and the output label, read from a ``gexpect solve`` document."""
+    known_keys(doc, ("label", "gp", "phi", "phi_params", "pde"), "document")
+    gp = parse_gparams(doc.get("gp", {}))
+    pde = doc.get("pde", {})
+    known_keys(pde, ("x_range", "dx", "t_final"), "pde")
+    lo, hi = _pair(pde, "x_range", "pde")
+    dx = positive_number(_require(pde, "dx", "pde"), "pde.dx")
+    t_final = positive_number(_require(pde, "t_final", "pde"), "pde.t_final")
+    cfg = _prefixed("pde.", SolverConfig, lo, hi, dx, stable_dt(gp, dx, t_final), t_final)
+    phi = parse_phi({"phi": "cos", **doc}, "document")
+    return gp, phi, cfg, output_stem(doc.get("label", "value_function"), "document.label")
 
 
 def read_json(path: str | Path) -> dict:

@@ -55,19 +55,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import ValidationError
 from .functions import TestFunction
 from .scenarios import ScenarioSet, stack_sets
 
 POLICY_CAP = 10**6
 GRID_NODE_CAP = 2_000_000
-# seconds per nested-grid atom update (one atom of a step applied on one grid node), as
-# ``bench/tracing.py`` counts it; traced median on a 2-CPU x86-64, numpy 2.4
+# seconds per grid atom update (one atom of a step on one node, as ``bench/tracing.py`` counts it):
+# not a measurement (0.9-1.5 ns traced) but the calibration of run_clt's fork decisions, which a
+# change moves; so a change is benchmarked as such
 GRID_S_PER_ATOM_UPDATE = 3e-9
 # a grid step weighs at most LAW_BLOCK scenarios on at most NODE_BLOCK nodes in one matrix product
 LAW_BLOCK = 16
 NODE_BLOCK = 2**14
 _LATTICE_REL_TOL = 1e-9
+# checked on the march's input alone: its averages and maxima keep finite data finite
+_PHI_NOT_FINITE = "phi_of_sum is not finite on the state grid"
 # largest plausible increment-to-spacing dynamic range; the tolerant GCD of
 # incommensurable increments runs far below this before hitting the noise floor
 _LATTICE_RATIO_CAP = 2**20
@@ -303,23 +306,14 @@ def nested_expect(phi_of_sum: TestFunction, model, n: int, cfg: NestedEvalConfig
         count = max(hi) - min(lo) + 1
         if count > GRID_NODE_CAP:
             raise ValidationError(f"lattice state count {count} exceeds cap {GRID_NODE_CAP}")
-        values = _phi_on(phi_of_sum, np.arange(lo[-1], hi[-1] + 1, dtype=np.int64).astype(float) * h)
+        values = phi_of_sum.finite_values(_PHI_NOT_FINITE, np.arange(lo[-1], hi[-1] + 1) * h)
         stencils = _stencils(inc, w, starts, firsts, h)
         return _lattice_march(values, [stencils[j] for j in order], lo, hi)
     x_lo, x_hi, num = cfg.state_grid
     xs = np.linspace(x_lo, x_hi, num)
     dense, pad = _dense_steps(inc, w, starts, firsts, (x_hi - x_lo) / (num - 1), num)
-    values = _grid_march(_phi_on(phi_of_sum, xs), [dense[j] for j in order], pad)
+    values = _grid_march(phi_of_sum.finite_values(_PHI_NOT_FINITE, xs), [dense[j] for j in order], pad)
     return float(np.interp(0.0, xs, values))
-
-
-def _phi_on(phi_of_sum: TestFunction, xs: np.ndarray) -> np.ndarray:
-    """phi on the nodes xs; raises ``NumericsError`` unless every value is finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is refused
-        values = phi_of_sum(xs)
-    if not np.isfinite(values).all():  # the march's averages and maxima keep finite data finite
-        raise NumericsError("phi_of_sum is not finite on the state grid")
-    return values
 
 
 def count_policies(model, n: int) -> int:
@@ -338,8 +332,8 @@ def bruteforce_nested(phi_of_sum: TestFunction, model, n: int) -> float:
     step tree. This enumerates the classical expectation of every policy
     (no backward max/expectation interchange) and takes the maximum at the
     end, so it is an independent check of ``nested_expect``. The step
-    weights are those of ``nested_expect``, and more than ``POLICY_CAP``
-    policies are refused.
+    weights are those of ``nested_expect``. More than ``POLICY_CAP`` policies
+    are refused, as is a phi_of_sum not finite on a partial sum they reach.
     """
     steps = _first_steps(model, n, phi_of_sum)
     if count_policies(steps, n) > POLICY_CAP:
@@ -353,7 +347,7 @@ def bruteforce_nested(phi_of_sum: TestFunction, model, n: int) -> float:
 
     def policy_values(s: float, i: int) -> np.ndarray:
         if i == n:
-            return phi_of_sum(np.array([s]))
+            return phi_of_sum.finite_values("phi_of_sum is not finite on the partial sums", np.array([s]))
         parts = []
         for inc, wts in laws[i]:
             acc = np.zeros(1)

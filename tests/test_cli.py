@@ -278,6 +278,7 @@ class TestClt:
             (None, "family", None, "preset.family must be a string without NUL, got None"),
             ("eps_rule", "kind", 7, "eps_rule.kind must be a string without NUL, got 7"),
             ("dp", "mode", None, "dp.mode must be a string without NUL, got None"),
+            ("eps_rule", "scale", 10, "error: eps_rule: |eps_i| must be <= 0.25, got 2.5 at i = 0\n"),
         ],
     )
     def test_malformed_field_is_a_validation_error(self, tmp_path, capsys, section, key, value, field):

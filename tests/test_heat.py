@@ -435,7 +435,7 @@ class TestConfigAndErrors:
         # clamping the edges to phi is the only boundary, so a document cannot name one
         section = {"dx": 0.1, "boundary": "linear_extrapolate"}
         with pytest.raises(ValidationError, match="unknown key pde.boundary"):
-            parse_solver_config(section, DEG, 1.0)
+            parse_solver_config(section, DEG)
 
 
 class TestClassicalOracle:

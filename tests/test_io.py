@@ -94,7 +94,7 @@ class TestConfigParsers:
 
     def test_solver_config(self):
         gp = GParams(0.0, 0.0, 1.0, 1.0)
-        cfg = parse_solver_config({"dx": 0.1}, gp, 1.0)
+        cfg = parse_solver_config({"dx": 0.1}, gp)
         assert cfg.n_intervals == 120
         assert (cfg.dt, cfg.t_final) == (stable_dt(gp, 0.1, 1.0), 1.0)
 
@@ -102,9 +102,9 @@ class TestConfigParsers:
         # the g-* presets admit dx/2 (about 1.05e8 node updates) and refuse dx/8 (6.7e9)
         section = {"dx": 0.01}
         gp = load_preset("g-ambiguous").gp
-        assert parse_solver_config(section, gp, 1.0).n_intervals == 2500
+        assert parse_solver_config(section, gp).n_intervals == 2500
         with pytest.raises(ValidationError, match=r"^pde.t_final = 1.0 asks for .* at dx = 0.0025,"):
-            parse_solver_config({**section, "dx": 0.0025}, gp, 1.0)
+            parse_solver_config({**section, "dx": 0.0025}, gp)
 
     def test_nested_config_defaults(self):
         cfg = parse_nested_config({"num_points": 101}, GParams(0.0, 0.0, 1.0, 1.0))

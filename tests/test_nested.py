@@ -570,13 +570,16 @@ class TestValidation:
         with pytest.raises(NumericsError, match="^phi_of_sum is not finite on the state grid$"):
             nested_expect(phi, preset.build_model(), 16, cfg or preset.dp)
 
-    @pytest.mark.parametrize("mode", ["exact_lattice", "grid_interp"])
+    @pytest.mark.parametrize("mode", ["exact_lattice", "grid_interp", "bruteforce_nested"])
     def test_phi_overflowing_on_the_grid_is_refused_without_a_warning(self, mode):
         # x^2 overflows at 1e200; the suite turns numpy's RuntimeWarning into an error
         step = ScenarioSet([DiscreteDistribution([((1e200, 0.0), 0.5), ((-1e200, 0.0), 0.5)])])
-        cfg = NestedEvalConfig((-1e200, 1e200, 11), mode)
-        with pytest.raises(NumericsError, match="^phi_of_sum is not finite on the state grid$"):
-            nested_expect(square(), [step], 1, cfg)
+        where = "partial sums" if mode == "bruteforce_nested" else "state grid"
+        with pytest.raises(NumericsError, match=f"^phi_of_sum is not finite on the {where}$"):
+            if mode == "bruteforce_nested":  # the oracle refuses what the recursion refuses
+                bruteforce_nested(square(), [step, step], 2)
+            else:
+                nested_expect(square(), [step], 1, NestedEvalConfig((-1e200, 1e200, 11), mode))
 
     def test_model_too_short(self):
         with pytest.raises(ValidationError):

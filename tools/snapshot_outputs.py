@@ -21,7 +21,10 @@ same from any checkout. OUTDIR gets:
 * ``presets.txt``: each shipped preset's settings as loaded, each a ``repr``:
   pde x_lo, x_hi, dx, dt and n_steps, dp state_grid and mode, n_schedule and
   tolerance, so a change that derives a setting shows before any output moves;
-* ``exit_codes.txt``: every command's exit status, one a line.
+* ``exit_codes.txt``: every command's exit status, one a line;
+* ``refusals.txt`` and ``refusals/``: for each malformed document in
+  ``REFUSALS`` (solve, expect and clt documents, each with one fault), its
+  name, the exit status, and the stdout of the command that refuses it.
 
 Standard error is not kept: it holds tracebacks and warnings, whose paths
 name the checkout.
@@ -44,6 +47,46 @@ SOLVE = {
     "phi": "relu_clip",
     "phi_params": {"clip": 2.0},
     "pde": {"x_range": [-6.0, 6.0], "dx": 0.1, "t_final": 0.5},
+}
+# a perturbed-family preset that converges; REFUSALS breaks one field of it
+PERTURBED = {
+    "name": "small",
+    "gp": {"mu": [0.0, 0.0], "sigma2": [1.0, 1.0]},
+    "family": "perturbed",
+    "family_params": {"n_max": 4, "sigma_levels": 1, "mean_levels": 1},
+    "eps_rule": {"kind": "harmonic", "scale": 0.1},
+    "phi": "cos",
+    "n_schedule": [4],
+    "dp": {"num_points": 101},
+    "pde": {"dx": 0.5},
+    "tolerance": 0.1,
+}
+ONE_D = {"dists": [{"atoms": [[1, 0.5], [-1, 0.5]]}]}
+TWO_D = {"dists": [{"atoms": [[1, 0, 0.5], [-1, 0, 0.5]]}]}
+# name: (command, document); each document has one fault, named in the command's stdout
+REFUSALS = {
+    "solve-unknown-key": ("solve", {**SOLVE, "boundary": "clamp"}),
+    "solve-gp": ("solve", {**SOLVE, "gp": {"mu": [0.5, -0.5], "sigma2": [1.0, 4.0]}}),
+    "solve-gp-missing": ("solve", {k: v for k, v in SOLVE.items() if k != "gp"}),
+    "solve-pde-unknown-key": ("solve", {**SOLVE, "pde": {**SOLVE["pde"], "dt": 0.001}}),
+    "solve-pde-x_range": ("solve", {**SOLVE, "pde": {**SOLVE["pde"], "x_range": [6.0]}}),
+    "solve-pde-x_range-order": ("solve", {**SOLVE, "pde": {**SOLVE["pde"], "x_range": [6.0, -6.0]}}),
+    "solve-pde-dx": ("solve", {**SOLVE, "pde": {**SOLVE["pde"], "dx": 0.0}}),
+    "solve-pde-t_final": ("solve", {**SOLVE, "pde": {**SOLVE["pde"], "t_final": -1.0}}),
+    "solve-pde-t_final-missing": ("solve", {**SOLVE, "pde": {"x_range": [-6.0, 6.0], "dx": 0.1}}),
+    "solve-phi": ("solve", {**SOLVE, "phi": "cosine"}),
+    "solve-phi_params": ("solve", {**SOLVE, "phi_params": {"clip": -1.0}}),
+    "solve-label": ("solve", {**SOLVE, "label": "../escaped"}),
+    "solve-two-faults": ("solve", {**SOLVE, "phi": "cosine", "label": "", "pde": {"dx": 0.1}}),
+    "solve-not-finite": (
+        "solve",
+        {**SOLVE, "phi": "abs3", "phi_params": {}, "pde": {"x_range": [-1e103, 1e103], "dx": 1e102, "t_final": 1.0}},
+    ),
+    "expect-mixed-dimensions": ("expect", {"steps": [ONE_D, TWO_D, ONE_D]}),
+    "expect-distribution-dimensions": ("expect", {"steps": [{"dists": [*ONE_D["dists"], *TWO_D["dists"]]}]}),
+    "expect-not-finite": ("expect", {"steps": [{"dists": [{"atoms": [[1e200, 0.5], [-1e200, 0.5]]}]}]}),
+    "clt-eps_rule": ("clt", {**PERTURBED, "eps_rule": {"kind": "harmonic", "scale": 10}}),
+    "check-conditions-eps_rule": ("check-conditions", {**PERTURBED, "eps_rule": {"kind": "harmonic", "scale": 10}}),
 }
 SETTINGS = f"""
 from gexpect.io import load_preset
@@ -86,6 +129,17 @@ def main(argv: list[str]) -> int:
         codes.append(f"{name} {run.returncode}")
         print(codes[-1], flush=True)
     (out / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
+    (out / "refusals").mkdir(exist_ok=True)
+    refusals = []
+    for name, (command, doc) in REFUSALS.items():
+        config = f"refusals/{name}.json"
+        (out / config).write_text(json.dumps(doc), encoding="utf-8")
+        args = ["x2"] if command == "expect" else ["--out", "refusals"]
+        run = subprocess.run(cli + [command, *args, "--config", config], cwd=out, env=env,
+                             capture_output=True, text=True)
+        refusals.append(f"{name} {run.returncode}\n{run.stdout}")
+    (out / "refusals.txt").write_text("".join(refusals), encoding="utf-8")
+    print(f"refusals {len(refusals)}", flush=True)
     return 0
 
 
